@@ -113,55 +113,35 @@ class ModelConfig:
     def cells(self) -> list[int]:
         return [self.u1, self.u2, self.u3][: self.lstm_layers]
 
+    def to_pairs(self) -> dict[str, str]:
+        """Every KV_KEYS value as text; dropout_rate via repr(float)."""
+        return {key: repr(float(self.dropout_rate)) if key == "dropout_rate"
+                else str(getattr(self, key)) for key in self.KV_KEYS}
+
     def to_kv_line(self) -> str:
-        parts = []
-        for key in self.KV_KEYS:
-            v = getattr(self, key)
-            parts.append(f"{key}={float(v)!r}" if key == "dropout_rate"
-                         else f"{key}={v}")
-        return ",".join(parts)
+        return ",".join(f"{k}={v}" for k, v in self.to_pairs().items())
+
+    @classmethod
+    def from_pairs(cls, pairs: dict[str, str]) -> "ModelConfig":
+        """Cast text values to field types; absent keys keep defaults."""
+        unknown = set(pairs) - set(cls.KV_KEYS)
+        if unknown:
+            raise InvalidConfig(f"unknown config keys {sorted(unknown)}")
+        if "family" not in pairs:
+            raise InvalidConfig("model config must set family")
+        casts = {"int": int, "float": float}
+        return cls(**{f.name: casts.get(f.type, str)(pairs[f.name])
+                      for f in fields(cls) if f.name in pairs})
 
     @classmethod
     def from_kv_line(cls, line: str) -> "ModelConfig":
-        pairs = {}
-        for tok in line.strip().split(","):
-            key, _, val = tok.partition("=")
-            if key not in cls.KV_KEYS:
-                raise InvalidConfig(f"unknown config key {key!r}")
-            pairs[key] = val
+        """Parse a to_kv_line string; every key must be present."""
+        pairs = dict(tok.partition("=")[::2]
+                     for tok in line.strip().split(","))
         missing = set(cls.KV_KEYS) - set(pairs)
         if missing:
             raise InvalidConfig(f"missing config keys {sorted(missing)}")
-        kwargs = {}
-        for f in fields(cls):
-            raw = pairs[f.name]
-            if f.type == "int":
-                kwargs[f.name] = int(raw)
-            elif f.type == "float":
-                kwargs[f.name] = float(raw)
-            else:
-                kwargs[f.name] = raw
-        return cls(**kwargs)
-
-
-def write_config_file(config: ModelConfig, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in ModelConfig.KV_KEYS:
-            v = getattr(config, key)
-            fh.write(f"{key} = {float(v)!r}\n" if key == "dropout_rate"
-                     else f"{key} = {v}\n")
-
-
-def read_config_file(path) -> ModelConfig:
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition(" = ")
-            pairs.append(f"{key}={val}")
-    return ModelConfig.from_kv_line(",".join(pairs))
+        return cls.from_pairs(pairs)
 
 
 class Transpose(Layer):
@@ -211,10 +191,6 @@ class ResidualBlock(Layer):
         if self.short_conv is not None:
             out += self.short_conv.params() + self.short_bn.params()
         return out
-
-    def sublayers(self):
-        return list(self.convs) + list(self.bns) + (
-            [self.short_conv, self.short_bn] if self.short_conv else [])
 
     def forward(self, x, mode="train", rng=None):
         h = x
@@ -295,9 +271,8 @@ class Network:
                    if isinstance(layer, uq.FlipoutDense))
 
     def astype(self, dtype):
-        for p in self.params():
-            p.value = p.value.astype(dtype)
-            p.grad = p.grad.astype(dtype)
+        for layer in self.layers:
+            layer.astype(dtype)
         return self
 
 
@@ -310,14 +285,8 @@ def _build_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, 0xA2C4)))
 
 
-def _pooled_length(length: int, blocks: int, pool: int) -> int:
-    for _ in range(blocks):
-        length = length // pool
-    return length
-
-
 def _conv_blocks(config: ModelConfig, n_channels: int, window_length: int,
-                 rng: np.random.Generator) -> tuple[list[Layer], int, int]:
+                 rng: np.random.Generator) -> tuple[list[Layer], int]:
     """Shared conv-block stack: conv(same) -> bn -> relu -> maxpool."""
     layers: list[Layer] = []
     ch, length = n_channels, window_length
@@ -330,7 +299,7 @@ def _conv_blocks(config: ModelConfig, n_channels: int, window_length: int,
         layers.append(ReLU(name=f"b{b}_relu"))
         layers.append(MaxPool1D(config.max_pool, name=f"b{b}_pool"))
         ch, length = f, length // config.max_pool
-    return layers, ch, length
+    return layers, ch
 
 
 def _lstm_stack(config: ModelConfig, n_in: int,
@@ -346,49 +315,23 @@ def _lstm_stack(config: ModelConfig, n_in: int,
     return layers, ch
 
 
-def build_cnn(config: ModelConfig, n_channels: int, window_length: int,
-              seed: int = 0) -> Network:
-    config.validate()
-    if config.family != "cnn":
-        raise InvalidConfig(f"build_cnn got family {config.family!r}")
-    rng = _build_rng(seed)
-    layers, ch, _ = _conv_blocks(config, n_channels, window_length, rng)
-    layers.append(GlobalAvgPool1D(name="gap"))
-    layers.append(Dense(ch, 2, rng, name="head"))
-    return Network(layers, config, n_channels, window_length)
+def _cnn(config, n_channels, window_length, rng):
+    layers, ch = _conv_blocks(config, n_channels, window_length, rng)
+    return layers + [GlobalAvgPool1D(name="gap")], ch
 
 
-def build_lstm(config: ModelConfig, n_channels: int, window_length: int,
-               seed: int = 0) -> Network:
-    config.validate()
-    if config.family != "lstm":
-        raise InvalidConfig(f"build_lstm got family {config.family!r}")
-    rng = _build_rng(seed)
-    layers: list[Layer] = [Transpose()]
+def _lstm(config, n_channels, window_length, rng):
     stack, ch = _lstm_stack(config, n_channels, rng)
-    layers += stack
-    layers.append(Dense(ch, 2, rng, name="head"))
-    return Network(layers, config, n_channels, window_length)
+    return [Transpose()] + stack, ch
 
 
-def build_cnn_lstm(config: ModelConfig, n_channels: int, window_length: int,
-                   seed: int = 0) -> Network:
-    config.validate()
-    if config.family != "cnn_lstm":
-        raise InvalidConfig(f"build_cnn_lstm got family {config.family!r}")
-    rng = _build_rng(seed)
-    layers, ch, _ = _conv_blocks(config, n_channels, window_length, rng)
-    layers.append(Transpose())
+def _cnn_lstm(config, n_channels, window_length, rng):
+    convs, ch = _conv_blocks(config, n_channels, window_length, rng)
     stack, ch = _lstm_stack(config, ch, rng)
-    layers += stack
-    layers.append(Dense(ch, 2, rng, name="head"))
-    return Network(layers, config, n_channels, window_length)
+    return convs + [Transpose()] + stack, ch
 
 
-def build_fcn(n_channels: int, window_length: int, seed: int = 0,
-              dropout_rate: float = 0.25) -> Network:
-    config = ModelConfig(family="fcn", cnn_blocks=3, dropout_rate=dropout_rate)
-    rng = _build_rng(seed)
+def _fcn(config, n_channels, window_length, rng):
     layers: list[Layer] = []
     ch = n_channels
     for b, (f, k) in enumerate(zip(FCN_FILTERS, FCN_KERNELS), 1):
@@ -396,44 +339,34 @@ def build_fcn(n_channels: int, window_length: int, seed: int = 0,
         layers.append(BatchNorm1D(f, name=f"b{b}_bn"))
         layers.append(ReLU(name=f"b{b}_relu"))
         ch = f
-    layers.append(GlobalAvgPool1D(name="gap"))
-    layers.append(Dense(ch, 2, rng, name="head"))
-    return Network(layers, config, n_channels, window_length)
+    return layers + [GlobalAvgPool1D(name="gap")], ch
 
 
-def build_resnet(n_channels: int, window_length: int, seed: int = 0,
-                 dropout_rate: float = 0.25) -> Network:
-    config = ModelConfig(family="resnet", cnn_blocks=3, dropout_rate=dropout_rate)
-    rng = _build_rng(seed)
+def _resnet(config, n_channels, window_length, rng):
     layers: list[Layer] = []
     ch = n_channels
     for b in range(1, RESNET_BLOCKS + 1):
         block = ResidualBlock(ch, rng, name=f"r{b}")
         layers.append(block)
         ch = block.out_channels
-    layers.append(GlobalAvgPool1D(name="gap"))
-    layers.append(Dense(ch, 2, rng, name="head"))
-    return Network(layers, config, n_channels, window_length)
+    return layers + [GlobalAvgPool1D(name="gap")], ch
+
+
+# family -> (config, channels, length, rng) -> (body layers, body width);
+# build_network appends the two-unit dense head to every body
+_BODIES = {"cnn": _cnn, "lstm": _lstm, "cnn_lstm": _cnn_lstm, "fcn": _fcn,
+           "resnet": _resnet}
 
 
 def build_network(config: ModelConfig, n_channels: int, window_length: int,
                   seed: int = 0) -> Network:
-    """Build per family, then apply the config's UQ method."""
+    """Build the family's layers, then apply the config's UQ method."""
     config.validate()
-    if config.family == "cnn":
-        net = build_cnn(config, n_channels, window_length, seed)
-    elif config.family == "lstm":
-        net = build_lstm(config, n_channels, window_length, seed)
-    elif config.family == "cnn_lstm":
-        net = build_cnn_lstm(config, n_channels, window_length, seed)
-    elif config.family == "fcn":
-        net = build_fcn(n_channels, window_length, seed,
-                        dropout_rate=config.dropout_rate)
-        net.config = config
-    else:
-        net = build_resnet(n_channels, window_length, seed,
-                           dropout_rate=config.dropout_rate)
-        net.config = config
+    rng = _build_rng(seed)
+    layers, ch = _BODIES[config.family](config, n_channels, window_length,
+                                        rng)
+    layers.append(Dense(ch, 2, rng, name="head"))
+    net = Network(layers, config, n_channels, window_length)
     if config.uq != "none":
         apply_uq(net, config.uq)
     return net
@@ -443,15 +376,11 @@ def build_network(config: ModelConfig, n_channels: int, window_length: int,
 # UQ placement
 
 
-def _head_index(net: Network) -> int:
-    for i in range(len(net.layers) - 1, -1, -1):
-        if isinstance(net.layers[i], (Dense, uq.FlipoutDense)):
+def _head_index(layers: list[Layer]) -> int:
+    for i in range(len(layers) - 1, -1, -1):
+        if isinstance(layers[i], (Dense, uq.FlipoutDense)):
             return i
     raise InvalidConfig("network has no dense head")
-
-
-def _has_lstm(net: Network) -> bool:
-    return any(isinstance(l, LSTM) for l in net.layers)
 
 
 def apply_uq(net: Network, method: str) -> Network:
@@ -495,14 +424,13 @@ def apply_uq(net: Network, method: str) -> Network:
                 if conv_block <= 2:
                     new_layers.append(
                         uq.MCDropout(rate, name=f"b{conv_block}_drop"))
-        if _has_lstm(net):
-            head = _head_index(Network(new_layers, net.config,
-                                       net.n_channels, net.window_length))
-            new_layers.insert(head, uq.MCDropout(rate, name="head_drop"))
+        if any(isinstance(l, LSTM) for l in net.layers):
+            new_layers.insert(_head_index(new_layers),
+                              uq.MCDropout(rate, name="head_drop"))
         net.layers = new_layers
     elif method == "dropconnect":
         if family == "lstm":
-            i = _head_index(net)
+            i = _head_index(net.layers)
             net.layers[i] = uq.DropConnectDense(net.layers[i], rate)
         elif family == "resnet":
             for layer in net.layers:
@@ -514,53 +442,11 @@ def apply_uq(net: Network, method: str) -> Network:
                           if isinstance(l, Conv1D) else l
                           for l in net.layers]
     else:  # flipout
-        i = _head_index(net)
+        i = _head_index(net.layers)
         net.layers[i] = uq.FlipoutDense(net.layers[i])
 
     net.config.uq = method
     return net
-
-
-def strip_uq(net: Network) -> Network:
-    """Undo apply_uq: recover a deterministic-equivalent plain network."""
-    rng = _build_rng(0)
-    new_layers: list[Layer] = []
-    for layer in net.layers:
-        if isinstance(layer, uq.MCDropout):
-            continue
-        if isinstance(layer, uq.DropConnectConv1D):
-            plain = Conv1D(layer.n_in, layer.filters, layer.kernel, rng,
-                           padding=layer.padding, name=layer.name)
-            plain.w, plain.b = layer.w, layer.b
-            new_layers.append(plain)
-        elif isinstance(layer, uq.DropConnectDense):
-            plain = Dense(layer.n_in, layer.n_out, rng, name=layer.name)
-            plain.w, plain.b = layer.w, layer.b
-            new_layers.append(plain)
-        elif isinstance(layer, uq.FlipoutDense):
-            plain = Dense(layer.n_in, layer.n_out, rng, name=layer.name)
-            plain.w = Param(f"{layer.name}_w", layer.mu_w.value.copy())
-            plain.b = Param(f"{layer.name}_b", layer.mu_b.value.copy())
-            new_layers.append(plain)
-        elif isinstance(layer, ResidualBlock):
-            layer.dropouts = [None, None, None]
-            layer.convs = [
-                _plain_conv(c, rng) if isinstance(c, uq.DropConnectConv1D) else c
-                for c in layer.convs]
-            new_layers.append(layer)
-        else:
-            new_layers.append(layer)
-    config = ModelConfig(**{f.name: getattr(net.config, f.name)
-                            for f in fields(ModelConfig)})
-    config.uq = "none"
-    return Network(new_layers, config, net.n_channels, net.window_length)
-
-
-def _plain_conv(dc: uq.DropConnectConv1D, rng) -> Conv1D:
-    plain = Conv1D(dc.n_in, dc.filters, dc.kernel, rng,
-                   padding=dc.padding, name=dc.name)
-    plain.w, plain.b = dc.w, dc.b
-    return plain
 
 
 # ---------------------------------------------------------------------------

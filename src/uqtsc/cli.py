@@ -14,7 +14,6 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -90,21 +89,12 @@ def _write_run_config(out_dir: Path, command: str, settings: dict):
 
 
 def _read_run_config(path):
-    pairs = []
-    for ln in Path(path).read_text(encoding="utf-8").splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        key, sep, val = ln.partition(" = ")
-        if not sep:
-            raise BadRunConfig(f"{path}: bad line {ln!r}")
-        pairs.append((key, val))
-    if not pairs or pairs[0][0] != "command":
+    settings = _read_kv(path)
+    if next(iter(settings), None) != "command":
         raise BadRunConfig(f"{path}: first key must be 'command'")
-    command = pairs[0][1]
+    command = settings.pop("command")
     if command not in _COMMAND_KEYS:
         raise BadRunConfig(f"{path}: unknown command {command!r}")
-    settings = dict(pairs[1:])
     unknown = set(settings) - set(_COMMAND_KEYS[command])
     if unknown:
         raise BadRunConfig(f"{path}: unknown keys {sorted(unknown)}")
@@ -259,32 +249,9 @@ def cmd_prepare(args):
 # train
 
 
-def _read_model_config(path) -> arch.ModelConfig:
-    vals = _read_kv(path)
-    unknown = set(vals) - set(arch.ModelConfig.KV_KEYS)
-    if unknown:
-        raise arch.InvalidConfig(
-            f"{path}: unknown model config keys {sorted(unknown)}")
-    if "family" not in vals:
-        raise arch.InvalidConfig(f"{path}: model config must set family")
-    kwargs = {}
-    for f in fields(arch.ModelConfig):
-        if f.name not in vals:
-            continue
-        raw = vals[f.name]
-        if f.type == "int":
-            kwargs[f.name] = int(raw)
-        elif f.type == "float":
-            kwargs[f.name] = float(raw)
-        else:
-            kwargs[f.name] = raw
-    cfg = arch.ModelConfig(**kwargs)
-    cfg.validate()
-    return cfg
-
-
 def cmd_train(args):
-    cfg = _read_model_config(args.config)
+    cfg = arch.ModelConfig.from_pairs(_read_kv(args.config))
+    cfg.validate()
     train_ds = data.load_dataset(args.data, "train")
     val_ds = data.load_dataset(args.data, "val")
     net = arch.build_network(cfg, train_ds.n_channels, train_ds.window_length,
@@ -311,7 +278,11 @@ def cmd_train(args):
 
 
 class _TrainObjective:
-    """Train-then-validate objective; keeps the best full-budget network."""
+    """Train-then-validate objective; keeps the best full-budget network.
+
+    Ties on val_loss go to the lower seed.  Seeds are seed_base plus the
+    trial id, so this matches hpo.incumbent_of under any worker count.
+    """
 
     def __init__(self, train_ds, val_ds, max_budget: int, dtype):
         self.xt, self.yt = train_ds.windows, train_ds.labels
@@ -320,7 +291,7 @@ class _TrainObjective:
         self.window = train_ds.window_length
         self.max_budget = max_budget
         self.dtype = dtype
-        self.best_loss = None
+        self.best_key = None
         self.best_net = None
         self._lock = threading.Lock()
 
@@ -334,8 +305,9 @@ class _TrainObjective:
                               val_wf1=float(last.val_wf1), seed=seed)
         if budget == self.max_budget and math.isfinite(rec.val_loss):
             with self._lock:
-                if self.best_loss is None or rec.val_loss < self.best_loss:
-                    self.best_loss, self.best_net = rec.val_loss, net
+                key = (rec.val_loss, seed)
+                if self.best_key is None or key < self.best_key:
+                    self.best_key, self.best_net = key, net
         return rec
 
 

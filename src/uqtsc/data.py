@@ -118,9 +118,6 @@ class TimeSeriesLog:
     def length(self) -> int:
         return self.values.shape[1]
 
-    def group_indices(self, group: str) -> list[int]:
-        return [i for i, g in enumerate(self.channel_groups) if g == group]
-
 
 @dataclass
 class SequenceDataset:
@@ -661,15 +658,6 @@ def default_synth_suite(n_logs: int = 20, seed: int = 7, duration_s: float = 30.
             class_segments=segs,
         ))
     return specs
-
-
-def band_power(series: np.ndarray, sample_rate_hz: float, f_min_hz: float) -> float:
-    """Mean spectral power above f_min_hz (rFFT periodogram)."""
-    x = series - series.mean()
-    spec = np.abs(np.fft.rfft(x)) ** 2 / len(x)
-    freqs = np.fft.rfftfreq(len(x), d=1.0 / sample_rate_hz)
-    mask = freqs > f_min_hz
-    return float(spec[mask].mean()) if mask.any() else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -412,10 +412,7 @@ def write_trials_csv(trials, path) -> None:
         row = [str(t.trial_id), str(t.bracket), str(t.rung),
                str(t.budget_epochs), t.status, repr(float(t.val_loss)),
                repr(float(t.val_wf1)), repr(float(t.wall_seconds))]
-        for key in ModelConfig.KV_KEYS:
-            v = getattr(t.config, key)
-            row.append(repr(float(v)) if key == "dropout_rate" else str(v))
-        lines.append(",".join(row))
+        lines.append(",".join(row + list(t.config.to_pairs().values())))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -432,10 +429,9 @@ def read_trials_csv(path) -> list[TrialRecord]:
         if len(cells) != len(TRIAL_CSV_FIXED) + len(ModelConfig.KV_KEYS):
             raise MalformedTrialLog(f"wrong column count in row: {ln!r}")
         fixed, cfg_cells = cells[:8], cells[8:]
-        kv = ",".join(f"{k}={v}"
-                      for k, v in zip(ModelConfig.KV_KEYS, cfg_cells))
         trials.append(TrialRecord(
-            config=ModelConfig.from_kv_line(kv),
+            config=ModelConfig.from_pairs(
+                dict(zip(ModelConfig.KV_KEYS, cfg_cells))),
             budget_epochs=int(fixed[3]), val_loss=float(fixed[5]),
             val_wf1=float(fixed[6]), status=fixed[4],
             wall_seconds=float(fixed[7]), trial_id=int(fixed[0]),

@@ -144,13 +144,17 @@ def calibration_table(mean_probs: np.ndarray, labels: np.ndarray,
     return rows
 
 
-def ece(mean_probs: np.ndarray, labels: np.ndarray, k: int = DEFAULT_BINS,
-        positive_class: bool = False) -> float:
-    """Expected calibration error: sum of P(i) * |o_i - e_i| over bins."""
-    rows = calibration_table(mean_probs, labels, k, positive_class)
+def _ece_from_bins(rows: list[BinRow]) -> float:
     n = sum(r.count for r in rows)
     return float(sum((r.count / n) * abs(r.o_i - r.e_i) for r in rows
                      if r.count))
+
+
+def ece(mean_probs: np.ndarray, labels: np.ndarray, k: int = DEFAULT_BINS,
+        positive_class: bool = False) -> float:
+    """Expected calibration error: sum of P(i) * |o_i - e_i| over bins."""
+    return _ece_from_bins(
+        calibration_table(mean_probs, labels, k, positive_class))
 
 
 @dataclass
@@ -242,17 +246,13 @@ def build_report(dist: PredictiveDistribution, labels: np.ndarray,
     preds = dist.predicted_class
     f1 = f1_and_accuracy(preds, labels)
     bins = calibration_table(dist.mean_probs, labels, k, positive_class)
-    n = len(labels)
-    ece_val = float(sum((r.count / n) * abs(r.o_i - r.e_i)
-                        for r in bins if r.count))
     return EvalReport(
         mean_probs=dist.mean_probs, entropy=np.atleast_1d(ent),
         labels=labels, preds=preds,
         outcomes=classify_outcomes(preds, labels),
         accuracy=f1.accuracy, f1_cl0=f1.f1_cl0, f1_cl1=f1.f1_cl1,
-        f1_weighted=f1.f1_weighted,
-        mean_entropy=float(np.mean(ent)), ece=ece_val, bins=bins, tag=tag,
-        meta=dict(meta or {}))
+        f1_weighted=f1.f1_weighted, mean_entropy=float(np.mean(ent)),
+        ece=_ece_from_bins(bins), bins=bins, tag=tag, meta=dict(meta or {}))
 
 
 def select_candidates(reports: list[EvalReport]) -> dict[str, list[EvalReport]]:

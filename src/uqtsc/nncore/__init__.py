@@ -12,7 +12,6 @@ from .layers import (
     BatchTooSmall,
     Conv1D,
     Dense,
-    Flatten,
     GlobalAvgPool1D,
     KernelTooLarge,
     LabelOutOfRange,
@@ -31,7 +30,7 @@ from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 
 __all__ = [
     "Adam", "BatchNorm1D", "BatchTooSmall", "CheckpointError", "Conv1D",
-    "Dense", "Flatten", "GlobalAvgPool1D", "GRAD_CHECKED_KINDS",
+    "Dense", "GlobalAvgPool1D", "GRAD_CHECKED_KINDS",
     "KernelTooLarge", "LSTM", "LabelOutOfRange", "Layer", "MaxPool1D",
     "Param", "ReLU", "ShapeMismatch", "grad_check", "read_checkpoint",
     "softmax_cross_entropy", "softmax_cross_entropy_backward",

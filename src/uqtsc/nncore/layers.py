@@ -317,21 +317,6 @@ class ReLU(Layer):
         return dy * self._mask
 
 
-class Flatten(Layer):
-    """[B,C,L] -> [B,C*L] bridge between conv stacks and dense heads."""
-
-    def __init__(self, name: str = "flat"):
-        self.name = name
-        self._shape = None
-
-    def forward(self, x, mode="train", rng=None):
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, dy):
-        return dy.reshape(self._shape)
-
-
 def _sigmoid(z):
     out = np.empty_like(z)
     pos = z >= 0

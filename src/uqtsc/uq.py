@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .nncore.gradcheck import layer_grad_error
 from .nncore.layers import Conv1D, Dense, Layer, Param, ShapeMismatch
 
 _ACTIVE_MODES = ("train", "mc_infer")
@@ -29,7 +30,28 @@ def _check_rate(p: float):
         raise InvalidRate(f"dropout rate must lie in [0, 1), got {p}")
 
 
-class MCDropout(Layer):
+class _Bernoulli:
+    """The one inverted-scaling Bernoulli mask behind dropout and DropConnect.
+
+    A fresh mask is drawn per pass in active modes when p > 0; otherwise
+    the tensor passes through and the mask is cleared.
+    """
+
+    def _masked(self, v, mode, rng):
+        self._mask = None
+        if mode in _ACTIVE_MODES and self.p > 0.0:
+            if rng is None:
+                raise ValueError(f"{self.name}: active mode needs an rng")
+            keep = 1.0 - self.p
+            self._mask = (rng.random(v.shape) < keep) / keep
+            return v * self._mask
+        return v
+
+    def _mask_grad(self, g):
+        return g if self._mask is None else g * self._mask
+
+
+class MCDropout(_Bernoulli, Layer):
     """Bernoulli activation masking, active in train and mc_infer modes."""
 
     def __init__(self, p: float, name: str = "dropout"):
@@ -39,71 +61,39 @@ class MCDropout(Layer):
         self._mask = None
 
     def forward(self, x, mode="train", rng=None):
-        if mode in _ACTIVE_MODES and self.p > 0.0:
-            if rng is None:
-                raise ValueError(f"{self.name}: active mode needs an rng")
-            keep = 1.0 - self.p
-            self._mask = (rng.random(x.shape) < keep) / keep
-            return x * self._mask
-        self._mask = None
-        return x
+        return self._masked(x, mode, rng)
 
     def backward(self, dy):
-        return dy if self._mask is None else dy * self._mask
+        return self._mask_grad(dy)
 
 
-class DropConnectDense(Dense):
+class _DropConnect(_Bernoulli):
+    """Bernoulli mask on a wrapped layer's weight (never its bias).
+
+    Adopts the base layer's attributes and Param objects, then overrides
+    the `_weight`/`_backprop_weight` hooks that Dense and Conv1D route
+    their weight through.
+    """
+
+    def __init__(self, base, p: float):
+        _check_rate(p)
+        vars(self).update(vars(base))
+        self.p = p
+        self._mask = None
+
+    def _weight(self, mode, rng):
+        return self._masked(self.w.value, mode, rng)
+
+    def _backprop_weight(self, dw_eff):
+        self.w.grad += self._mask_grad(dw_eff)
+
+
+class DropConnectDense(_DropConnect, Dense):
     """Dense layer whose weight matrix (never bias) is Bernoulli-masked."""
 
-    def __init__(self, base: Dense, p: float):
-        _check_rate(p)
-        self.name = f"{base.name}"
-        self.n_in, self.n_out = base.n_in, base.n_out
-        self.w, self.b = base.w, base.b
-        self.p = p
-        self._x = None
-        self._mask = None
 
-    def _weight(self, mode, rng):
-        if mode in _ACTIVE_MODES and self.p > 0.0:
-            if rng is None:
-                raise ValueError(f"{self.name}: active mode needs an rng")
-            keep = 1.0 - self.p
-            self._mask = (rng.random(self.w.value.shape) < keep) / keep
-            return self.w.value * self._mask
-        self._mask = None
-        return self.w.value
-
-    def _backprop_weight(self, dw_eff):
-        self.w.grad += dw_eff if self._mask is None else dw_eff * self._mask
-
-
-class DropConnectConv1D(Conv1D):
+class DropConnectConv1D(_DropConnect, Conv1D):
     """Conv1D whose filter bank (never bias) is Bernoulli-masked."""
-
-    def __init__(self, base: Conv1D, p: float):
-        _check_rate(p)
-        self.name = f"{base.name}"
-        self.n_in, self.filters, self.kernel = base.n_in, base.filters, base.kernel
-        self.padding = base.padding
-        self.w, self.b = base.w, base.b
-        self.p = p
-        self._xp = None
-        self._pads = (0, 0)
-        self._mask = None
-
-    def _weight(self, mode, rng):
-        if mode in _ACTIVE_MODES and self.p > 0.0:
-            if rng is None:
-                raise ValueError(f"{self.name}: active mode needs an rng")
-            keep = 1.0 - self.p
-            self._mask = (rng.random(self.w.value.shape) < keep) / keep
-            return self.w.value * self._mask
-        self._mask = None
-        return self.w.value
-
-    def _backprop_weight(self, dw_eff):
-        self.w.grad += dw_eff if self._mask is None else dw_eff * self._mask
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
@@ -143,9 +133,6 @@ class FlipoutDense(Layer):
 
     def freeze_noise(self, rng: np.random.Generator, batch: int):
         self._frozen = self._draw(rng, batch)
-
-    def unfreeze_noise(self):
-        self._frozen = None
 
     def _draw(self, rng, batch):
         r = rng.choice((-1.0, 1.0), size=(batch, self.n_in))
@@ -211,26 +198,6 @@ class FlipoutDense(Layer):
                 / (1.0 + np.exp(-rho.value))
 
 
-# ---------------------------------------------------------------------------
-# functional forms
-
-
-def mc_dropout_forward(x, p, mode, rng):
-    return MCDropout(p).forward(x, mode=mode, rng=rng)
-
-
-def dropconnect_forward(x, layer, p, mode, rng):
-    if isinstance(layer, Conv1D):
-        return DropConnectConv1D(layer, p).forward(x, mode=mode, rng=rng)
-    if isinstance(layer, Dense):
-        return DropConnectDense(layer, p).forward(x, mode=mode, rng=rng)
-    raise TypeError(f"dropconnect supports dense/conv1d, not {type(layer).__name__}")
-
-
-def flipout_dense_forward(x, layer: FlipoutDense, rng):
-    return layer.forward(x, mode="mc_infer", rng=rng)
-
-
 def gaussian_kl(mu: np.ndarray, sigma: np.ndarray) -> float:
     """Sum of KL(N(mu, sigma^2) || N(0,1)) over all elements."""
     mu = np.asarray(mu, dtype=np.float64)
@@ -251,46 +218,13 @@ def flipout_grad_check(eps: float = 1e-5, seed: int = 0) -> float:
     """Finite-difference check of FlipoutDense with frozen noise.
 
     Covers the input and all four posterior parameters (mu/rho for weight
-    and bias); returns the max relative error.
+    and bias); returns the max relative error.  Frozen noise makes train
+    and mc_infer passes identical, so the shared train-mode check applies.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xF11b0)))
-    base = Dense(3, 2, rng)
-    layer = FlipoutDense(base)
+    layer = FlipoutDense(Dense(3, 2, rng))
     layer.rho_w.value = rng.normal(-2.5, 0.3, size=layer.rho_w.value.shape)
     layer.rho_b.value = rng.normal(-2.5, 0.3, size=layer.rho_b.value.shape)
     x = rng.normal(size=(2, 3))
     layer.freeze_noise(rng, batch=2)
-
-    y = layer.forward(x, mode="mc_infer")
-    proj = rng.uniform(-1.0, 1.0, size=y.shape)
-    for p in layer.params():
-        p.zero_grad()
-    analytic_dx = layer.backward(proj)
-    analytic = {p.name: p.grad.copy() for p in layer.params()}
-
-    def loss_at():
-        return float(np.sum(layer.forward(x, mode="mc_infer") * proj))
-
-    def fd(flat, i):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = loss_at()
-        flat[i] = orig - eps
-        fm = loss_at()
-        flat[i] = orig
-        return (fp - fm) / (2.0 * eps)
-
-    worst = 0.0
-    flat_x = x.reshape(-1)
-    num = np.array([fd(flat_x, i) for i in range(flat_x.size)])
-    ana = analytic_dx.reshape(-1)
-    denom = np.maximum(np.abs(ana) + np.abs(num), 1e-3)
-    worst = max(worst, float(np.max(np.abs(ana - num) / denom)))
-    for p in layer.params():
-        flat_p = p.value.reshape(-1)
-        num = np.array([fd(flat_p, i) for i in range(flat_p.size)])
-        ana = analytic[p.name].reshape(-1)
-        denom = np.maximum(np.abs(ana) + np.abs(num), 1e-3)
-        worst = max(worst, float(np.max(np.abs(ana - num) / denom)))
-    layer.unfreeze_noise()
-    return worst
+    return layer_grad_error(layer, x, rng, eps)

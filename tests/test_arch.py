@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from uqtsc import arch, uq
+from uqtsc import arch, cli, uq
 from uqtsc.nncore import LSTM, Conv1D, Dense, GlobalAvgPool1D, MaxPool1D
 
 
@@ -23,7 +23,7 @@ def _forward_shapes(net, x):
 
 def test_build_cnn_shape_chain():
     cfg = arch.ModelConfig(family="cnn", cnn_blocks=1, f1=16, k1=7, max_pool=2)
-    net = arch.build_cnn(cfg, n_channels=6, window_length=400)
+    net = arch.build_network(cfg, n_channels=6, window_length=400)
     x = np.random.default_rng(0).normal(size=(2, 6, 400))
     shapes = _forward_shapes(net, x)
     assert shapes[0] == (2, 16, 400)   # conv, same padding
@@ -35,18 +35,18 @@ def test_build_cnn_shape_chain():
 def test_build_cnn_shape_collapse():
     cfg = arch.ModelConfig(family="cnn", cnn_blocks=3, max_pool=8)
     with pytest.raises(arch.ShapeCollapse):
-        arch.build_cnn(cfg, n_channels=6, window_length=100)
+        arch.build_network(cfg, n_channels=6, window_length=100)
 
 
 def test_invalid_blocks_rejected():
     cfg = arch.ModelConfig(family="cnn", cnn_blocks=4)
     with pytest.raises(arch.InvalidConfig):
-        arch.build_cnn(cfg, 6, 400)
+        arch.build_network(cfg, 6, 400)
 
 
 def test_build_lstm_single_layer():
     cfg = arch.ModelConfig(family="lstm", lstm_layers=1, u1=41)
-    net = arch.build_lstm(cfg, 6, 400)
+    net = arch.build_network(cfg, 6, 400)
     x = np.random.default_rng(1).normal(size=(2, 6, 400))
     shapes = _forward_shapes(net, x)
     assert shapes[-2] == (2, 41)
@@ -55,7 +55,7 @@ def test_build_lstm_single_layer():
 
 def test_build_lstm_stacked_chained_sizes():
     cfg = arch.ModelConfig(family="lstm", lstm_layers=2, u1=113, u2=13)
-    net = arch.build_lstm(cfg, 6, 100)
+    net = arch.build_network(cfg, 6, 100)
     lstms = [l for l in net.layers if isinstance(l, LSTM)]
     assert [(l.n_in, l.units) for l in lstms] == [(6, 113), (113, 13)]
     assert lstms[0].return_sequences and not lstms[1].return_sequences
@@ -64,13 +64,13 @@ def test_build_lstm_stacked_chained_sizes():
 def test_lstm_cells_below_range_rejected():
     cfg = arch.ModelConfig(family="lstm", u1=4)
     with pytest.raises(arch.InvalidConfig):
-        arch.build_lstm(cfg, 6, 100)
+        arch.build_network(cfg, 6, 100)
 
 
 def test_build_cnn_lstm_row24_shapes():
     cfg = arch.ModelConfig(family="cnn_lstm", cnn_blocks=1, f1=26, k1=9,
                            max_pool=2, lstm_layers=1, u1=67)
-    net = arch.build_cnn_lstm(cfg, 6, 1000)
+    net = arch.build_network(cfg, 6, 1000)
     x = np.random.default_rng(2).normal(size=(2, 6, 1000))
     shapes = _forward_shapes(net, x)
     assert shapes[0] == (2, 26, 1000)
@@ -82,7 +82,7 @@ def test_build_cnn_lstm_row24_shapes():
 def test_cnn_lstm_zero_lstm_layers_rejected():
     cfg = arch.ModelConfig(family="cnn_lstm", lstm_layers=0)
     with pytest.raises(arch.InvalidConfig):
-        arch.build_cnn_lstm(cfg, 6, 400)
+        arch.build_network(cfg, 6, 400)
 
 
 def test_build_deterministic_for_seed():
@@ -94,20 +94,20 @@ def test_build_deterministic_for_seed():
 
 
 def test_fcn_conv1_weight_count():
-    net = arch.build_fcn(6, 400)
+    net = arch.build_network(arch.ModelConfig(family="fcn"), 6, 400)
     conv1 = net.layers[0]
     assert conv1.w.value.size == 6 * 8 * 128 == 6144
     assert conv1.b.value.size == 128
 
 
 def test_fcn_ends_in_two_unit_head():
-    net = arch.build_fcn(6, 400)
+    net = arch.build_network(arch.ModelConfig(family="fcn"), 6, 400)
     head = net.layers[-1]
     assert isinstance(head, Dense) and head.n_out == 2
 
 
 def test_resnet_projection_vs_identity_shortcuts():
-    net = arch.build_resnet(6, 400)
+    net = arch.build_network(arch.ModelConfig(family="resnet"), 6, 400)
     blocks = [l for l in net.layers if isinstance(l, arch.ResidualBlock)]
     assert len(blocks) == 3
     assert blocks[0].short_conv is not None          # 6 -> 128 projection
@@ -117,14 +117,14 @@ def test_resnet_projection_vs_identity_shortcuts():
 
 
 def test_resnet_forward_shapes():
-    net = arch.build_resnet(6, 64)
+    net = arch.build_network(arch.ModelConfig(family="resnet"), 6, 64)
     x = np.random.default_rng(3).normal(size=(2, 6, 64))
     y = net.forward(x, mode="infer")
     assert y.shape == (2, 2)
 
 
 def test_resnet_backward_runs():
-    net = arch.build_resnet(6, 32)
+    net = arch.build_network(arch.ModelConfig(family="resnet"), 6, 32)
     x = np.random.default_rng(4).normal(size=(4, 6, 32))
     y = net.forward(x, mode="train")
     net.backward(np.ones_like(y))
@@ -143,14 +143,14 @@ def test_param_count_dense():
 
 def test_param_count_lstm_formula():
     cfg = arch.ModelConfig(family="lstm", u1=8)
-    net = arch.build_lstm(cfg, 6, 100)
+    net = arch.build_network(cfg, 6, 100)
     lstm = [l for l in net.layers if isinstance(l, LSTM)][0]
     got = sum(p.value.size for p in lstm.params())
     assert got == 4 * (8 * (6 + 8) + 8) == 480
 
 
 def test_param_count_fcn_summation_oracle():
-    net = arch.build_fcn(6, 400)
+    net = arch.build_network(arch.ModelConfig(family="fcn"), 6, 400)
     expect = 0
     ch = 6
     for f, k in zip(arch.FCN_FILTERS, arch.FCN_KERNELS):
@@ -282,6 +282,7 @@ def test_apply_uq_unknown_method():
 @pytest.mark.parametrize("family", arch.FAMILIES)
 @pytest.mark.parametrize("method", ("mc_dropout", "dropconnect", "flipout"))
 def test_strip_uq_recovers_deterministic_forward(family, method):
+    """With UQ switched off (infer mode), a wrapped net is its plain twin."""
     cfg = arch.ModelConfig(family=family)
     plain = arch.build_network(cfg, 6, 64, seed=9)
     x = np.random.default_rng(8).normal(size=(2, 6, 64))
@@ -289,8 +290,7 @@ def test_strip_uq_recovers_deterministic_forward(family, method):
 
     cfg2 = arch.ModelConfig(family=family, uq=method)
     wrapped = arch.build_network(cfg2, 6, 64, seed=9)
-    stripped = arch.strip_uq(wrapped)
-    np.testing.assert_allclose(stripped.forward(x, mode="infer"), expect,
+    np.testing.assert_allclose(wrapped.forward(x, mode="infer"), expect,
                                atol=1e-12)
 
 
@@ -354,19 +354,35 @@ def test_config_kv_roundtrip():
 
 
 def test_config_kv_rejects_unknown_key():
-    with pytest.raises(arch.InvalidConfig):
-        arch.ModelConfig.from_kv_line("family=cnn,uq=none,bogus=3")
+    full = arch.ModelConfig(family="cnn").to_kv_line()
+    for line in ("family=cnn,uq=none,bogus=3",
+                 full + ",bogus=3",                     # unknown key
+                 full.replace(",max_pool=2", "")):      # missing key
+        with pytest.raises(arch.InvalidConfig):
+            arch.ModelConfig.from_kv_line(line)
 
 
 def test_config_file_roundtrip(tmp_path):
+    """The `key = value` file `train --config` reads parses via from_pairs."""
     cfg = arch.ModelConfig(family="lstm", u1=41, batch_size=16)
     path = tmp_path / "model.cfg"
-    arch.write_config_file(cfg, path)
-    assert arch.read_config_file(path) == cfg
+    path.write_text("".join(f"{k} = {v}\n"
+                            for k, v in cfg.to_pairs().items()))
+    assert arch.ModelConfig.from_pairs(cli._read_kv(path)) == cfg
 
 
-def test_checkpoint_roundtrip_forward_equal(tmp_path):
-    cfg = arch.ModelConfig(family="cnn", uq="flipout", cnn_blocks=1, f1=16, k1=5)
+def test_from_pairs_partial_keys_keep_defaults():
+    cfg = arch.ModelConfig.from_pairs({"family": "cnn_lstm", "u1": "67",
+                                       "dropout_rate": "0.125"})
+    assert cfg == arch.ModelConfig(family="cnn_lstm", u1=67,
+                                   dropout_rate=0.125)
+    assert isinstance(cfg.u1, int) and isinstance(cfg.dropout_rate, float)
+
+
+@pytest.mark.parametrize("family", arch.FAMILIES)
+@pytest.mark.parametrize("method", arch.UQ_METHODS)
+def test_checkpoint_roundtrip_forward_equal(tmp_path, family, method):
+    cfg = arch.ModelConfig(family=family, uq=method, cnn_blocks=1, f1=16, k1=5)
     net = arch.build_network(cfg, 6, 64, seed=3)
     x = np.random.default_rng(10).normal(size=(2, 6, 64))
     expect = net.forward(x, mode="infer")
@@ -374,6 +390,6 @@ def test_checkpoint_roundtrip_forward_equal(tmp_path):
     arch.save_network(net, path)
     loaded, meta = arch.load_network(path)
     assert meta["channels"] == "6"
-    np.testing.assert_allclose(loaded.forward(x, mode="infer"), expect,
-                               atol=1e-12)
+    np.testing.assert_array_equal(loaded.forward(x, mode="infer"), expect)
+    assert loaded.config.to_kv_line() == net.config.to_kv_line()
     assert loaded.config == net.config

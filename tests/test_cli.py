@@ -1,9 +1,12 @@
 """Command pipeline on a miniature synthetic corpus."""
 
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from uqtsc import cli, data, metrics
+from uqtsc import arch, cli, data, hpo, metrics, training
 
 GEN_ARGS = ["--n-logs", "6", "--seed", "11", "--duration-s", "6.0"]
 MODEL_CONFIG = """\
@@ -166,6 +169,9 @@ def test_train_rejects_bad_config(mini, tmp_path):
     cfg.write_text("family = cnn\ncnn_blocks = 7\n")
     assert run("train", "--data", mini / "prep", "--config", cfg,
                "--epochs", "1", "--out", tmp_path / "o2") == 1
+    cfg.write_text("uq = none\ncnn_blocks = 2\n")   # family is required
+    assert run("train", "--data", mini / "prep", "--config", cfg,
+               "--epochs", "1", "--out", tmp_path / "o3") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +198,26 @@ def test_search_rerun_identical_csv(mini, tmp_path):
                    "--seed", "6", "--out", out) == 0
         outs.append((out / "trials.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_objective_tie_keeps_lower_seed(monkeypatch):
+    """Tied full-budget losses finishing in reverse seed order (as threads
+    may) keep the lower-seed net, the same trial hpo.incumbent_of reports."""
+    nets = {}
+
+    def tied_train(net, *args, seed, **kwargs):
+        nets[seed] = net
+        return [training.EpochStats(0, 0.5, 0.25, 0.9)]
+
+    monkeypatch.setattr(training, "train_network", tied_train)
+    ds = SimpleNamespace(windows=np.zeros((4, 6, 16)), labels=np.zeros(4),
+                         n_channels=6, window_length=16)
+    objective = cli._TrainObjective(ds, ds, max_budget=4, dtype=None)
+    cfg = arch.ModelConfig(family="cnn")
+    recs = [objective(cfg, 4, seed) for seed in (12, 11)]
+    assert objective.best_net is nets[11]
+    trials = [replace(r, trial_id=r.seed - 10) for r in recs]
+    assert hpo.incumbent_of(trials, 4).seed == 11
 
 
 def test_search_empty_data_dir_clean_error(tmp_path, capsys):

@@ -158,16 +158,6 @@ def test_dropconnect_conv_p0_matches_conv():
                                base.forward(x), atol=1e-12)
 
 
-def test_dropconnect_functional_router():
-    rng = np.random.default_rng(10)
-    dense = Dense(3, 2, rng)
-    x = rng.normal(size=(2, 3))
-    np.testing.assert_allclose(uq.dropconnect_forward(x, dense, 0.0, "train", rng),
-                               dense.forward(x), atol=1e-12)
-    with pytest.raises(TypeError):
-        uq.dropconnect_forward(x, uq.MCDropout(0.1), 0.1, "train", rng)
-
-
 # ---------------------------------------------------------------------------
 # Flipout
 
@@ -287,9 +277,3 @@ def test_elbo_prior_pulls_weight_toward_zero():
     reg = grid[np.argmin([objective(m, kl_weight=1.0) for m in grid])]
     assert unreg == pytest.approx(2.0, abs=1e-3)
     assert reg < unreg - 0.1
-
-
-def test_mc_dropout_functional():
-    x = np.ones((2, 3))
-    y = uq.mc_dropout_forward(x, 0.0, "mc_infer", RNG)
-    np.testing.assert_array_equal(y, x)
