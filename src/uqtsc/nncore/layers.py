@@ -123,12 +123,19 @@ def pad_same(x: np.ndarray, k: int) -> tuple[np.ndarray, int, int]:
     return np.pad(x, ((0, 0), (0, 0), (left, right))), left, right
 
 
+def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
+    """[B, C, Lp] -> [B*Lout, C*k]: every length-k window as one row."""
+    b, c, lp = xp.shape
+    v = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
+    return v.transpose(0, 2, 1, 3).reshape(b * (lp - k + 1), c * k)
+
+
 class Conv1D(Layer):
     """Cross-correlation over [batch, channels, length] with bias.
 
-    Implemented as a single tensordot over a sliding-window view of the
-    input, i.e. one large GEMM per call instead of one small matmul per
-    kernel offset.
+    Implemented as one GEMM over the im2col matrix of the padded input,
+    i.e. one large GEMM per call instead of one small matmul per kernel
+    offset.
     """
 
     def __init__(self, n_in: int, filters: int, kernel: int,
@@ -167,32 +174,36 @@ class Conv1D(Layer):
         if k > xp.shape[2]:
             raise KernelTooLarge(
                 f"{self.name}: kernel {k} exceeds padded length {xp.shape[2]}")
-        self._xp, self._pads = xp, (left, right)
         # cast so the GEMM and its output stay in the input precision
         w = self._weight(mode, rng).astype(x.dtype, copy=False)
         self._w_used = w
-        v = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
-        y = np.tensordot(v, w, axes=([1, 3], [1, 2]))  # [B, Lout, F]
-        y = np.ascontiguousarray(y.transpose(0, 2, 1))
+        self._xp, self._pads = xp, (left, right)
+        y = np.dot(_im2col(xp, k),
+                   w.transpose(1, 2, 0).reshape(-1, self.filters))
+        y = np.ascontiguousarray(
+            y.reshape(len(x), -1, self.filters).transpose(0, 2, 1))
         y += self.b.value[None, :, None]
         return y
 
     def backward(self, dy):
         xp, (left, right) = self._xp, self._pads
+        b, f, l_out = dy.shape
         k = self.kernel
-        l_out = dy.shape[2]
-        v = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
-        dw = np.tensordot(dy, v, axes=([0, 2], [0, 2]))  # [F, C, k]
-        dcol = np.tensordot(dy, self._w_used, axes=([1], [0]))
-        dcol = np.ascontiguousarray(dcol.transpose(0, 2, 1, 3))
-        dxp = np.zeros_like(xp)
+        c = self.n_in
+        dw = np.dot(dy.transpose(1, 0, 2).reshape(f, b * l_out),
+                    _im2col(xp, k))
+        dcol = np.dot(dy.transpose(0, 2, 1).reshape(b * l_out, f),
+                      self._w_used.reshape(f, c * k))
+        dcol = dcol.reshape(b, l_out, c, k)
+        # col2im in the input's dtype: scatter-add each kernel offset,
+        # time-major so every add writes a contiguous block
+        dxp_t = np.zeros((b, l_out + k - 1, c), dtype=xp.dtype)
         for j in range(k):
-            dxp[:, :, j:j + l_out] += dcol[:, :, :, j]
-        self._backprop_weight(dw)
+            dxp_t[:, j:j + l_out] += dcol[:, :, :, j]
+        self._backprop_weight(dw.reshape(f, c, k))
         self.b.grad += dy.sum(axis=(0, 2))
-        if left or right:
-            return dxp[:, :, left:xp.shape[2] - right]
-        return dxp
+        return np.ascontiguousarray(
+            dxp_t[:, left:xp.shape[2] - right].transpose(0, 2, 1))
 
 
 class BatchNorm1D(Layer):
@@ -230,17 +241,22 @@ class BatchNorm1D(Layer):
             if x3.shape[0] < 2:
                 raise BatchTooSmall(f"{self.name}: train mode needs batch >= 2")
             mean = x3.mean(axis=(0, 2))
-            var = x3.var(axis=(0, 2))  # biased
+            xhat = x3 - mean[None, :, None]
+            # biased variance from the same sums np.var does: bit-identical
+            var = np.square(xhat).sum(axis=(0, 2))
+            np.true_divide(var, np.intp(x3.shape[0] * x3.shape[2]), out=var,
+                           casting="unsafe")
             m = self.MOMENTUM
             self.running_mean.value = m * self.running_mean.value + (1 - m) * mean
             self.running_var.value = m * self.running_var.value + (1 - m) * var
         else:
-            mean = self.running_mean.value
+            xhat = x3 - self.running_mean.value[None, :, None]
             var = self.running_var.value
         ivar = 1.0 / np.sqrt(var + self.EPS)
-        xhat = (x3 - mean[None, :, None]) * ivar[None, :, None]
+        xhat *= ivar[None, :, None]
         self._cache = (xhat, ivar, mode, squeeze)
-        y = self.gamma.value[None, :, None] * xhat + self.beta.value[None, :, None]
+        y = self.gamma.value[None, :, None] * xhat
+        y += self.beta.value[None, :, None]
         return y[:, :, 0] if squeeze else y
 
     def backward(self, dy):
@@ -250,10 +266,16 @@ class BatchNorm1D(Layer):
         self.beta.grad += dy3.sum(axis=(0, 2))
         dxhat = dy3 * self.gamma.value[None, :, None]
         if mode == "train":
+            # (ivar / n) * (n * dxhat - s1 - xhat * s2), reusing two buffers
             n = dy3.shape[0] * dy3.shape[2]
             s1 = dxhat.sum(axis=(0, 2), keepdims=True)
-            s2 = (dxhat * xhat).sum(axis=(0, 2), keepdims=True)
-            dx = (ivar[None, :, None] / n) * (n * dxhat - s1 - xhat * s2)
+            dx = dxhat * xhat
+            s2 = dx.sum(axis=(0, 2), keepdims=True)
+            dxhat *= n
+            dxhat -= s1
+            np.multiply(xhat, s2, out=dx)
+            np.subtract(dxhat, dx, out=dx)
+            dx *= ivar[None, :, None] / n
         else:
             dx = dxhat * ivar[None, :, None]
         return dx[:, :, 0] if squeeze else dx
@@ -284,8 +306,9 @@ class MaxPool1D(Layer):
         n = l // p
         dxr = np.zeros((b, c, n, p), dtype=dy.dtype)
         np.put_along_axis(dxr, arg[..., None], dy[..., None], axis=3)
-        dx = np.zeros((b, c, l), dtype=dy.dtype)
-        dx[:, :, :n * p] = dxr.reshape(b, c, n * p)
+        dx = dxr.reshape(b, c, n * p)
+        if n * p < l:  # the dropped remainder gets a zero gradient
+            dx = np.pad(dx, ((0, 0), (0, 0), (0, l - n * p)))
         return dx
 
 

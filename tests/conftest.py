@@ -4,6 +4,17 @@ import pytest
 from uqtsc import data
 
 
+def pytest_collection_modifyitems(items):
+    """Run the tests that share the end-to-end pipeline fixture last.
+
+    That one pipeline run (generate -> prepare -> search -> evaluate) takes
+    minutes and every other test takes seconds, so a run that is cut short
+    still reports every fast test.  The sort is stable: the order within
+    each group is the collection order.
+    """
+    items.sort(key=lambda item: "bench" in getattr(item, "fixturenames", ()))
+
+
 @pytest.fixture(scope="session")
 def small_log():
     """A short deterministic synthetic log with one class transition."""

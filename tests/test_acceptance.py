@@ -2,8 +2,9 @@
 
 Run with plain `pytest`; the verdict lines bypass capture so they show up
 in any log.  Checks 7 and 8 share one full pipeline run (generate ->
-prepare -> search -> evaluate) and together take ~10 minutes on one core;
-everything else is seconds.
+prepare -> search -> evaluate) that takes many minutes, so conftest.py
+runs them after every other test of the suite; everything else is
+seconds.
 """
 
 import math
