@@ -260,11 +260,20 @@ class Network:
             h = layer.forward(h, mode=mode, rng=rng)
         return h
 
-    def backward(self, dlogits: np.ndarray) -> np.ndarray:
+    def backward(self, dlogits: np.ndarray) -> None:
+        """Accumulate every parameter gradient; no input gradient is kept.
+
+        A first Conv1D (DropConnect included) computes only its weight and
+        bias gradients.
+        """
         d = dlogits
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             d = layer.backward(d)
-        return d
+        first = self.layers[0]
+        if isinstance(first, Conv1D):
+            first.backward(d, input_grad=False)
+        else:
+            first.backward(d)
 
     def kl(self) -> float:
         return sum(layer.kl() for layer in self.layers

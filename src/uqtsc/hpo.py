@@ -37,7 +37,7 @@ MIN_BANDWIDTH = 0.03
 FAILED_LOSS = float("inf")
 
 TRIAL_CSV_FIXED = ("trial_id", "bracket", "rung", "budget_epochs", "status",
-                   "val_loss", "val_wF1", "wall_seconds")
+                   "val_loss", "val_wF1")
 
 
 class InvalidBudgets(Exception):
@@ -278,7 +278,6 @@ class TrialRecord:
     val_wf1: float = 0.0
     status: str = "ok"
     seed: int = 0
-    wall_seconds: float = 0.0
     trial_id: int = -1
     bracket: int = -1
     rung: int = -1
@@ -411,7 +410,7 @@ def write_trials_csv(trials, path) -> None:
     for t in trials:
         row = [str(t.trial_id), str(t.bracket), str(t.rung),
                str(t.budget_epochs), t.status, repr(float(t.val_loss)),
-               repr(float(t.val_wf1)), repr(float(t.wall_seconds))]
+               repr(float(t.val_wf1))]
         lines.append(",".join(row + list(t.config.to_pairs().values())))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -423,17 +422,17 @@ def read_trials_csv(path) -> list[TrialRecord]:
     expect = ",".join(TRIAL_CSV_FIXED + ModelConfig.KV_KEYS)
     if not lines or lines[0] != expect:
         raise MalformedTrialLog("bad or missing trial log header")
+    n_fixed = len(TRIAL_CSV_FIXED)
     trials = []
     for ln in lines[1:]:
         cells = ln.split(",")
-        if len(cells) != len(TRIAL_CSV_FIXED) + len(ModelConfig.KV_KEYS):
+        if len(cells) != n_fixed + len(ModelConfig.KV_KEYS):
             raise MalformedTrialLog(f"wrong column count in row: {ln!r}")
-        fixed, cfg_cells = cells[:8], cells[8:]
+        fixed, cfg_cells = cells[:n_fixed], cells[n_fixed:]
         trials.append(TrialRecord(
             config=ModelConfig.from_pairs(
                 dict(zip(ModelConfig.KV_KEYS, cfg_cells))),
             budget_epochs=int(fixed[3]), val_loss=float(fixed[5]),
-            val_wf1=float(fixed[6]), status=fixed[4],
-            wall_seconds=float(fixed[7]), trial_id=int(fixed[0]),
+            val_wf1=float(fixed[6]), status=fixed[4], trial_id=int(fixed[0]),
             bracket=int(fixed[1]), rung=int(fixed[2])))
     return trials

@@ -2,12 +2,14 @@
 
 Conventions: sequence tensors are [batch, channels, length]; feature
 tensors are [batch, features]; LSTM inputs are [batch, length, features].
-`forward(x, mode, rng)` caches whatever `backward(dy)` needs; backward
-returns dx and accumulates parameter gradients in place.  Modes: "train"
-(batch statistics, stochastic regularizers on), "infer" (deterministic),
-"mc_infer" (deterministic statistics but stochastic regularizers on —
-that distinction belongs to the uq layers, plain layers treat it like
-infer except batch norm, which always uses running stats outside train).
+A train-mode `forward(x, mode, rng)` caches whatever `backward(dy)`
+needs; backward returns dx and accumulates parameter gradients in place.
+Modes: "train" (batch statistics, stochastic regularizers on), "infer"
+(deterministic), "mc_infer" (deterministic statistics but stochastic
+regularizers on — that distinction belongs to the uq layers, plain layers
+treat it like infer except batch norm, which always uses running stats
+outside train).  Training backpropagates only train-mode passes, so
+MaxPool1D caches nothing outside train.
 """
 
 from __future__ import annotations
@@ -185,13 +187,22 @@ class Conv1D(Layer):
         y += self.b.value[None, :, None]
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, input_grad=True):
+        """Accumulate the weight and bias gradients, then return dx.
+
+        With input_grad=False nothing is returned and the dx GEMM and
+        col2im are skipped: a network's first layer has no use for dx.
+        """
         xp, (left, right) = self._xp, self._pads
         b, f, l_out = dy.shape
         k = self.kernel
         c = self.n_in
         dw = np.dot(dy.transpose(1, 0, 2).reshape(f, b * l_out),
                     _im2col(xp, k))
+        self._backprop_weight(dw.reshape(f, c, k))
+        self.b.grad += dy.sum(axis=(0, 2))
+        if not input_grad:
+            return None
         dcol = np.dot(dy.transpose(0, 2, 1).reshape(b * l_out, f),
                       self._w_used.reshape(f, c * k))
         dcol = dcol.reshape(b, l_out, c, k)
@@ -200,8 +211,6 @@ class Conv1D(Layer):
         dxp_t = np.zeros((b, l_out + k - 1, c), dtype=xp.dtype)
         for j in range(k):
             dxp_t[:, j:j + l_out] += dcol[:, :, :, j]
-        self._backprop_weight(dw.reshape(f, c, k))
-        self.b.grad += dy.sum(axis=(0, 2))
         return np.ascontiguousarray(
             dxp_t[:, left:xp.shape[2] - right].transpose(0, 2, 1))
 
@@ -210,7 +219,8 @@ class BatchNorm1D(Layer):
     """Per-channel batch normalization for [B,C,L] or [B,F] tensors.
 
     Train mode normalizes by biased batch statistics and updates running
-    stats with momentum 0.9; infer/mc_infer use the running stats.
+    stats with momentum 0.9, kept in the parameter dtype; infer/mc_infer
+    use the running stats.
     """
 
     MOMENTUM = 0.9
@@ -247,8 +257,10 @@ class BatchNorm1D(Layer):
             np.true_divide(var, np.intp(x3.shape[0] * x3.shape[2]), out=var,
                            casting="unsafe")
             m = self.MOMENTUM
-            self.running_mean.value = m * self.running_mean.value + (1 - m) * mean
-            self.running_var.value = m * self.running_var.value + (1 - m) * var
+            for stat, batch in ((self.running_mean, mean),
+                                (self.running_var, var)):
+                stat.value = (m * stat.value + (1 - m) * batch).astype(
+                    stat.value.dtype, copy=False)
         else:
             xhat = x3 - self.running_mean.value[None, :, None]
             var = self.running_var.value
@@ -296,6 +308,15 @@ class MaxPool1D(Layer):
         b, c, l = x.shape
         n = l // p
         xr = x[:, :, :n * p].reshape(b, c, n, p)
+        if mode != "train":
+            # no backward follows: running max, nothing cached.  On ties
+            # np.maximum returns its second operand, the running max, so
+            # the first occurrence wins as with argmax (signed zeros too)
+            self._cache = None
+            y = xr[..., 0].copy()
+            for j in range(1, p):
+                np.maximum(xr[..., j], y, out=y)
+            return y
         arg = xr.argmax(axis=3)
         self._cache = (x.shape, arg)
         return np.take_along_axis(xr, arg[..., None], axis=3)[..., 0]

@@ -34,7 +34,9 @@ class _Bernoulli:
     """The one inverted-scaling Bernoulli mask behind dropout and DropConnect.
 
     A fresh mask is drawn per pass in active modes when p > 0; otherwise
-    the tensor passes through and the mask is cleared.
+    the tensor passes through and the mask is cleared.  The mask comes
+    from a float64 uniform draw but is built in the tensor's dtype, so a
+    float32 pass stays float32.
     """
 
     def _masked(self, v, mode, rng):
@@ -43,7 +45,8 @@ class _Bernoulli:
             if rng is None:
                 raise ValueError(f"{self.name}: active mode needs an rng")
             keep = 1.0 - self.p
-            self._mask = (rng.random(v.shape) < keep) / keep
+            self._mask = np.divide(rng.random(v.shape) < keep, keep,
+                                   dtype=v.dtype)
             return v * self._mask
         return v
 
@@ -114,7 +117,8 @@ class FlipoutDense(Layer):
         y = x mu_W + ((x * r) @ dW) * s + mu_b + sigma_b * e_b
 
     In "infer" mode only the posterior means are used.  freeze_noise()
-    pins the random draws, which gradient checking needs.
+    pins the random draws, which gradient checking needs.  The noise is
+    drawn in float64 and cast to the input dtype.
     """
 
     def __init__(self, base: Dense, name: str | None = None):
@@ -156,6 +160,8 @@ class FlipoutDense(Layer):
             if rng is None:
                 raise ValueError(f"{self.name}: active mode needs an rng")
             r, s, e_w, e_b = self._draw(rng, x.shape[0])
+        r, s, e_w, e_b = (a.astype(x.dtype, copy=False)
+                          for a in (r, s, e_w, e_b))
         sig_w = softplus(self.rho_w.value)
         sig_b = softplus(self.rho_b.value)
         dw = sig_w * e_w

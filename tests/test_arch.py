@@ -131,6 +131,31 @@ def test_resnet_backward_runs():
     assert all(np.all(np.isfinite(p.grad)) for p in net.params())
 
 
+@pytest.mark.parametrize("method", ("none", "dropconnect"))
+@pytest.mark.parametrize("family", ("cnn", "cnn_lstm", "fcn"))
+def test_backward_skipping_first_dx_keeps_param_grads(family, method):
+    """Network.backward skips the first conv's dx; every parameter
+    gradient still equals that of a full layer-by-layer backward."""
+    cfg = arch.ModelConfig(family=family, uq=method, cnn_blocks=2,
+                           batch_size=16, dropout_rate=0.25)
+    x = np.random.default_rng(5).normal(size=(4, 6, 32))
+    grads = []
+    for full in (False, True):
+        net = arch.build_network(cfg, 6, 32, seed=6)
+        assert isinstance(net.layers[0], Conv1D)
+        rng = np.random.default_rng(7)
+        y = net.forward(x, mode="train", rng=rng)
+        if full:
+            d = np.ones_like(y)
+            for layer in reversed(net.layers):
+                d = layer.backward(d)
+            assert d.shape == x.shape
+        else:
+            net.backward(np.ones_like(y))
+        grads.append([p.grad.tobytes() for p in net.params()])
+    assert grads[0] == grads[1]
+
+
 # ---------------------------------------------------------------------------
 # param counting
 

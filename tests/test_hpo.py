@@ -347,7 +347,7 @@ def test_trial_csv_header_exact(tmp_path):
     header = path.read_text().splitlines()[0]
     assert header.startswith(
         "trial_id,bracket,rung,budget_epochs,status,val_loss,val_wF1,"
-        "wall_seconds,family,uq,cnn_blocks,")
+        "family,uq,cnn_blocks,")
 
 
 def test_trial_csv_rejects_bad_header(tmp_path):

@@ -174,6 +174,23 @@ def test_maxpool_remainder_dropped():
     assert y.shape == (1, 1, 3)
 
 
+@pytest.mark.parametrize("p, shape", [(1, (3, 4, 6)), (2, (3, 4, 8)),
+                                      (3, (3, 4, 10)), (4, (3, 4, 19)),
+                                      (4, (8, 64, 402))])
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_maxpool_infer_bytes_equal_train(p, shape, dtype):
+    """The argmax-free inference max is the train-mode output, bit for bit:
+    integer values force ties, signed zeros tell tied elements apart, and
+    lengths not divisible by p drop a remainder."""
+    rng = np.random.default_rng(p)
+    x = rng.integers(-2, 3, size=shape).astype(dtype)
+    x[x == 0] = rng.choice((-0.0, 0.0), size=int(np.sum(x == 0)))
+    pool = nn.MaxPool1D(p)
+    expect = pool.forward(x, mode="train").tobytes()
+    for mode in ("infer", "mc_infer"):
+        assert pool.forward(x, mode=mode).tobytes() == expect
+
+
 def test_gap_constant_and_hand():
     gap = nn.GlobalAvgPool1D()
     np.testing.assert_allclose(gap.forward(np.full((2, 3, 5), 4.0)), 4.0)
