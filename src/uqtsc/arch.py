@@ -1,12 +1,13 @@
-"""Network construction from configs, plus UQ placement rules.
+"""Network construction from configs, UQ layers included.
 
 Three searchable families (cnn, lstm, cnn_lstm) and two fixed benchmarks
-(fcn, resnet).  UQ wrapping follows strict placement: dropout goes after
-the conv and before batch norm in the first two conv blocks only (plus
-before the classifier when LSTM layers are present); DropConnect replaces
-convs in conv-bearing searchable families, the dense head in pure LSTMs,
-every conv in the FCN, and the residual-path convs (never the projection
-shortcut) in the ResNet; Flipout replaces only the output dense layer.
+(fcn, resnet).  The config's UQ method is placed while the layers are
+built: dropout goes after the conv and before batch norm in the first two
+conv blocks only (plus before the classifier when LSTM layers are
+present); DropConnect wraps every conv of the cnn, cnn_lstm and FCN
+bodies, the dense head in pure LSTMs, and the residual-path convs (never
+the projection shortcut) in the ResNet; Flipout replaces only the output
+dense layer.
 """
 
 from __future__ import annotations
@@ -44,14 +45,6 @@ class InvalidConfig(Exception):
 
 
 class ShapeCollapse(Exception):
-    pass
-
-
-class AlreadyWrapped(Exception):
-    pass
-
-
-class UnsupportedCombination(Exception):
     pass
 
 
@@ -157,24 +150,44 @@ class Transpose(Layer):
         return dy.transpose(0, 2, 1)
 
 
+def _conv(config: ModelConfig, n_in: int, filters: int, kernel: int,
+          rng: np.random.Generator, name: str) -> Conv1D:
+    """A same-padded conv, DropConnect-wrapped under that method."""
+    conv = Conv1D(n_in, filters, kernel, rng, name=name)
+    if config.uq == "dropconnect":
+        return uq.DropConnectConv1D(conv, config.dropout_rate)
+    return conv
+
+
+def _block_dropout(config: ModelConfig, block: int,
+                   name: str) -> uq.MCDropout | None:
+    """The MC dropout that follows a conv of conv block 1 or 2, else None."""
+    if config.uq == "mc_dropout" and block <= 2:
+        return uq.MCDropout(config.dropout_rate, name=name)
+    return None
+
+
 class ResidualBlock(Layer):
     """Three conv-bn stages with a shortcut; relu after the addition.
 
     The shortcut is the identity when channel counts already match, else a
-    kernel-1 projection conv with its own batch norm.
+    kernel-1 projection conv with its own batch norm.  Residual block
+    `block` counts as conv block `block` for UQ placement.
     """
 
-    def __init__(self, n_in: int, rng: np.random.Generator, name: str):
-        self.name = name
+    def __init__(self, n_in: int, config: ModelConfig, block: int,
+                 rng: np.random.Generator):
+        self.name = name = f"r{block}"
         self.convs: list[Conv1D] = []
         self.bns: list[BatchNorm1D] = []
         ch = n_in
         for j, (f, k) in enumerate(zip(FCN_FILTERS, FCN_KERNELS)):
-            self.convs.append(Conv1D(ch, f, k, rng, name=f"{name}_conv{j}"))
+            self.convs.append(_conv(config, ch, f, k, rng, f"{name}_conv{j}"))
             self.bns.append(BatchNorm1D(f, name=f"{name}_bn{j}"))
             ch = f
         self.out_channels = ch
-        self.dropouts: list[uq.MCDropout | None] = [None, None, None]
+        self.dropouts = [_block_dropout(config, block, f"{name}_drop{j}")
+                         for j in range(3)]
         if n_in != ch:
             self.short_conv = Conv1D(n_in, ch, 1, rng, name=f"{name}_proj")
             self.short_bn = BatchNorm1D(ch, name=f"{name}_projbn")
@@ -285,28 +298,36 @@ class Network:
         return self
 
 
-def param_count(net: Network) -> int:
-    """Trainable scalar count; running statistics excluded."""
-    return sum(p.value.size for p in net.params() if p.trainable)
-
-
 def _build_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, 0xA2C4)))
 
 
+def _conv_stage(config: ModelConfig, block: int, n_in: int, filters: int,
+                kernel: int, rng: np.random.Generator,
+                pool: int = 0) -> list[Layer]:
+    """Conv block `block`: conv(same) -> [dropout] -> bn -> relu [-> pool]."""
+    layers: list[Layer] = [_conv(config, n_in, filters, kernel, rng,
+                                 f"b{block}_conv")]
+    drop = _block_dropout(config, block, f"b{block}_drop")
+    if drop is not None:
+        layers.append(drop)
+    layers += [BatchNorm1D(filters, name=f"b{block}_bn"),
+               ReLU(name=f"b{block}_relu")]
+    if pool:
+        layers.append(MaxPool1D(pool, name=f"b{block}_pool"))
+    return layers
+
+
 def _conv_blocks(config: ModelConfig, n_channels: int, window_length: int,
                  rng: np.random.Generator) -> tuple[list[Layer], int]:
-    """Shared conv-block stack: conv(same) -> bn -> relu -> maxpool."""
+    """The searchable families' conv stages, each ending in a max pool."""
     layers: list[Layer] = []
     ch, length = n_channels, window_length
     for b, (f, k) in enumerate(zip(config.filters(), config.kernels()), 1):
         if length // config.max_pool < 1:
             raise ShapeCollapse(
                 f"block {b}: pooling {config.max_pool} on length {length}")
-        layers.append(Conv1D(ch, f, k, rng, name=f"b{b}_conv"))
-        layers.append(BatchNorm1D(f, name=f"b{b}_bn"))
-        layers.append(ReLU(name=f"b{b}_relu"))
-        layers.append(MaxPool1D(config.max_pool, name=f"b{b}_pool"))
+        layers += _conv_stage(config, b, ch, f, k, rng, config.max_pool)
         ch, length = f, length // config.max_pool
     return layers, ch
 
@@ -344,9 +365,7 @@ def _fcn(config, n_channels, window_length, rng):
     layers: list[Layer] = []
     ch = n_channels
     for b, (f, k) in enumerate(zip(FCN_FILTERS, FCN_KERNELS), 1):
-        layers.append(Conv1D(ch, f, k, rng, name=f"b{b}_conv"))
-        layers.append(BatchNorm1D(f, name=f"b{b}_bn"))
-        layers.append(ReLU(name=f"b{b}_relu"))
+        layers += _conv_stage(config, b, ch, f, k, rng)
         ch = f
     return layers + [GlobalAvgPool1D(name="gap")], ch
 
@@ -355,7 +374,7 @@ def _resnet(config, n_channels, window_length, rng):
     layers: list[Layer] = []
     ch = n_channels
     for b in range(1, RESNET_BLOCKS + 1):
-        block = ResidualBlock(ch, rng, name=f"r{b}")
+        block = ResidualBlock(ch, config, b, rng)
         layers.append(block)
         ch = block.out_channels
     return layers + [GlobalAvgPool1D(name="gap")], ch
@@ -369,93 +388,22 @@ _BODIES = {"cnn": _cnn, "lstm": _lstm, "cnn_lstm": _cnn_lstm, "fcn": _fcn,
 
 def build_network(config: ModelConfig, n_channels: int, window_length: int,
                   seed: int = 0) -> Network:
-    """Build the family's layers, then apply the config's UQ method."""
+    """Build the family's body, then its two-unit head, UQ layers included."""
     config.validate()
     rng = _build_rng(seed)
     layers, ch = _BODIES[config.family](config, n_channels, window_length,
                                         rng)
-    layers.append(Dense(ch, 2, rng, name="head"))
-    net = Network(layers, config, n_channels, window_length)
-    if config.uq != "none":
-        apply_uq(net, config.uq)
-    return net
-
-
-# ---------------------------------------------------------------------------
-# UQ placement
-
-
-def _head_index(layers: list[Layer]) -> int:
-    for i in range(len(layers) - 1, -1, -1):
-        if isinstance(layers[i], (Dense, uq.FlipoutDense)):
-            return i
-    raise InvalidConfig("network has no dense head")
-
-
-def apply_uq(net: Network, method: str) -> Network:
-    """Wrap a plain network with one UQ mechanism, in place.
-
-    Placement is quoted-rule-exact per family; see the module docstring.
-    Applying a second method (or the same one twice) raises AlreadyWrapped.
-    """
-    if method == "none":
-        return net
-    if method not in UQ_METHODS:
-        raise UnsupportedCombination(f"unknown uq method {method!r}")
-    already = any(isinstance(l, (uq.MCDropout, uq.DropConnectDense,
-                                 uq.DropConnectConv1D, uq.FlipoutDense))
-                  for l in net.layers) or any(
-        isinstance(l, ResidualBlock) and (
-            any(d is not None for d in l.dropouts)
-            or any(isinstance(c, uq.DropConnectConv1D) for c in l.convs))
-        for l in net.layers)
-    if already:
-        raise AlreadyWrapped("network already carries a UQ mechanism")
-
-    rate = net.config.dropout_rate
-    family = net.config.family
-
-    if method == "mc_dropout":
-        new_layers: list[Layer] = []
-        conv_block = 0
-        for layer in net.layers:
-            if isinstance(layer, ResidualBlock):
-                conv_block += 1
-                if conv_block <= 2:
-                    layer.dropouts = [
-                        uq.MCDropout(rate, name=f"{layer.name}_drop{j}")
-                        for j in range(3)]
-                new_layers.append(layer)
-                continue
-            new_layers.append(layer)
-            if isinstance(layer, Conv1D):
-                conv_block += 1
-                if conv_block <= 2:
-                    new_layers.append(
-                        uq.MCDropout(rate, name=f"b{conv_block}_drop"))
-        if any(isinstance(l, LSTM) for l in net.layers):
-            new_layers.insert(_head_index(new_layers),
-                              uq.MCDropout(rate, name="head_drop"))
-        net.layers = new_layers
-    elif method == "dropconnect":
-        if family == "lstm":
-            i = _head_index(net.layers)
-            net.layers[i] = uq.DropConnectDense(net.layers[i], rate)
-        elif family == "resnet":
-            for layer in net.layers:
-                if isinstance(layer, ResidualBlock):
-                    layer.convs = [uq.DropConnectConv1D(c, rate)
-                                   for c in layer.convs]
-        else:  # cnn, cnn_lstm, fcn: every conv layer
-            net.layers = [uq.DropConnectConv1D(l, rate)
-                          if isinstance(l, Conv1D) else l
-                          for l in net.layers]
-    else:  # flipout
-        i = _head_index(net.layers)
-        net.layers[i] = uq.FlipoutDense(net.layers[i])
-
-    net.config.uq = method
-    return net
+    rate = config.dropout_rate
+    head: Layer = Dense(ch, 2, rng, name="head")
+    if config.uq == "flipout":
+        head = uq.FlipoutDense(head)
+    elif config.uq == "dropconnect" and config.family == "lstm":
+        head = uq.DropConnectDense(head, rate)
+    elif config.uq == "mc_dropout" and any(isinstance(l, LSTM)
+                                           for l in layers):
+        layers.append(uq.MCDropout(rate, name="head_drop"))
+    layers.append(head)
+    return Network(layers, config, n_channels, window_length)
 
 
 # ---------------------------------------------------------------------------

@@ -570,7 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _CLI_ERRORS = (data.DataError, arch.InvalidConfig, arch.ShapeCollapse,
-               arch.AlreadyWrapped, arch.UnsupportedCombination,
                hpo.InvalidBudgets, hpo.InsufficientData,
                hpo.MalformedTrialLog, metrics.MalformedReport,
                metrics.NotNormalized, metrics.EmptyInput,

@@ -713,15 +713,3 @@ def save_stats(stats: ChannelStats, path: str | Path):
         fh.write("channel,mean,std\n")
         for name, m, s in zip(stats.channel_names, stats.mean, stats.std):
             fh.write(f"{name},{float(m)!r},{float(s)!r}\n")
-
-
-def load_stats(path: str | Path) -> ChannelStats:
-    rows = Path(path).read_text(encoding="utf-8").splitlines()[1:]
-    names, means, stds = [], [], []
-    for row in rows:
-        name, m, s = row.split(",")
-        names.append(name)
-        means.append(float(m))
-        stds.append(float(s))
-    return ChannelStats(channel_names=tuple(names),
-                        mean=np.array(means), std=np.array(stds))

@@ -307,18 +307,17 @@ def successive_halving(configs, budgets, objective, eta: int = 3, *,
                        seed_base: int = 0, map_fn=None):
     """Evaluate configs at budgets[0]; keep the top ceil(n/eta) per rung.
 
-    Returns (trials, survivors) where survivors[r] holds the configs
-    promoted out of rung r, ranked best-first (the final entry is the
-    ranking of the last rung, not a promotion).  `map_fn` (same contract
-    as builtin map) lets callers parallelize within a rung; results keep
-    submission order, so serial and parallel runs log the same rows.
+    Returns the trials of every rung in evaluation order; rung r + 1
+    holds the configs promoted out of rung r, best-first.  `map_fn` (same
+    contract as builtin map) lets callers parallelize within a rung;
+    results keep submission order, so serial and parallel runs log the
+    same rows.
     """
     if not configs:
         raise ValueError("need at least one config")
     trials = []
     tid = start_trial_id
     current = list(configs)
-    survivors = []
     run = map if map_fn is None else map_fn
     for r, budget in enumerate(budgets):
         jobs = [(cfg, budget, seed_base + tid + i, tid + i, bracket_id, r)
@@ -326,14 +325,9 @@ def successive_halving(configs, budgets, objective, eta: int = 3, *,
         rung_trials = list(run(lambda j: _evaluate(objective, *j), jobs))
         trials.extend(rung_trials)
         tid += len(jobs)
-        ranked = _rank(rung_trials)
-        if r == len(budgets) - 1:
-            survivors.append([t.config for t in ranked])
-        else:
-            keep = math.ceil(len(current) / eta)
-            current = [t.config for t in ranked[:keep]]
-            survivors.append(list(current))
-    return trials, survivors
+        keep = math.ceil(len(current) / eta)
+        current = [t.config for t in _rank(rung_trials)[:keep]]
+    return trials
 
 
 def _propose(trials, space, rng, random_fraction):
@@ -367,11 +361,10 @@ def run_bohb(objective, space: ConfigSpace, iterations: int = 20, rng=None, *,
             configs = [_propose(trials, space, rng, random_fraction)
                        for _ in range(bracket.n_configs)]
             budgets = [b for b, _ in bracket.rungs]
-            new, _ = successive_halving(
+            trials.extend(successive_halving(
                 configs, budgets, objective, eta, bracket_id=bracket_id,
                 start_trial_id=len(trials), seed_base=seed_base,
-                map_fn=map_fn)
-            trials.extend(new)
+                map_fn=map_fn))
             bracket_id += 1
     return trials, incumbent_of(trials, max_budget)
 

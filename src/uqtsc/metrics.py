@@ -165,9 +165,6 @@ class F1Result:
     accuracy: float
     degenerate_classes: tuple[int, ...] = ()
 
-    def __iter__(self):
-        return iter((self.f1_cl0, self.f1_cl1, self.f1_weighted, self.accuracy))
-
 
 def f1_and_accuracy(predictions: np.ndarray, labels: np.ndarray) -> F1Result:
     """Per-class one-vs-rest F1, support-weighted F1, and accuracy.

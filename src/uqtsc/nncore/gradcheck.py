@@ -49,29 +49,50 @@ GRAD_CHECKED_KINDS = [
 ]
 
 
-def _sample_input(spec: LayerSpec, rng: np.random.Generator) -> np.ndarray:
-    s = spec.sizes
-    if spec.kind == "dense":
-        shape = (s["batch"], s["n_in"])
-    elif spec.kind == "lstm":
-        shape = (s["batch"], s["length"], s["n_in"])
-    elif spec.kind == "softmax":
-        shape = (s["batch"], s["n_classes"])
-    elif spec.kind == "batchnorm1d" and s.get("length", 0) == 0:
-        shape = (s["batch"], s["n_ch"])
-    elif spec.kind == "conv1d":
-        shape = (s["batch"], s["n_in"], s["length"])
-    else:
-        shape = (s["batch"], s["n_ch"], s["length"])
-    x = rng.normal(size=shape)
+def _batchnorm(s, rng):
+    bn = L.BatchNorm1D(s["n_ch"])
+    # non-trivial affine so dgamma/dbeta are exercised
+    bn.gamma.value = rng.uniform(0.5, 1.5, size=s["n_ch"])
+    bn.beta.value = rng.normal(size=s["n_ch"])
+    return bn
 
+
+def _seq_shape(s):
+    return (s["batch"], s["n_ch"], s["length"])
+
+
+# kind -> (input shape from sizes, builder from (sizes, rng)).  grad_check
+# draws the input before the builder draws any weight or BN affine.
+_KINDS = {
+    "dense": (lambda s: (s["batch"], s["n_in"]),
+              lambda s, rng: L.Dense(s["n_in"], s["n_out"], rng)),
+    "conv1d": (lambda s: (s["batch"], s["n_in"], s["length"]),
+               lambda s, rng: L.Conv1D(s["n_in"], s["filters"], s["kernel"],
+                                       rng, padding=s.get("padding", "same"))),
+    # length 0 means a [B,F] input
+    "batchnorm1d": (lambda s: _seq_shape(s) if s.get("length", 0)
+                    else (s["batch"], s["n_ch"]), _batchnorm),
+    "maxpool1d": (_seq_shape, lambda s, rng: L.MaxPool1D(s["pool"])),
+    "globalavgpool": (_seq_shape, lambda s, rng: L.GlobalAvgPool1D()),
+    "relu": (_seq_shape, lambda s, rng: L.ReLU()),
+    "lstm": (lambda s: (s["batch"], s["length"], s["n_in"]),
+             lambda s, rng: L.LSTM(s["n_in"], s["units"], rng,
+                                   return_sequences=bool(
+                                       s.get("return_sequences", 0)))),
+    "softmax": (lambda s: (s["batch"], s["n_classes"]), None),
+}
+
+
+def _sample_input(spec: LayerSpec, shape,
+                  rng: np.random.Generator) -> np.ndarray:
+    x = rng.normal(size=shape)
     if spec.kind == "relu":
         # keep every element at least 1e-3 from the kink at zero
         while np.any(np.abs(x) < 1e-3):
             x[np.abs(x) < 1e-3] = rng.normal(size=int((np.abs(x) < 1e-3).sum()))
     elif spec.kind == "maxpool1d":
         # keep within-window values separated so argmax cannot flip
-        p = s["pool"]
+        p = spec.sizes["pool"]
         while True:
             n = shape[2] // p
             xr = x[:, :, :n * p].reshape(shape[0], shape[1], n, p)
@@ -80,31 +101,6 @@ def _sample_input(spec: LayerSpec, rng: np.random.Generator) -> np.ndarray:
                 break
             x = rng.normal(size=shape)
     return x
-
-
-def _build(spec: LayerSpec, rng: np.random.Generator):
-    s = spec.sizes
-    if spec.kind == "dense":
-        return L.Dense(s["n_in"], s["n_out"], rng)
-    if spec.kind == "conv1d":
-        return L.Conv1D(s["n_in"], s["filters"], s["kernel"], rng,
-                        padding=s.get("padding", "same"))
-    if spec.kind == "batchnorm1d":
-        bn = L.BatchNorm1D(s["n_ch"])
-        # non-trivial affine so dgamma/dbeta are exercised
-        bn.gamma.value = rng.uniform(0.5, 1.5, size=s["n_ch"])
-        bn.beta.value = rng.normal(size=s["n_ch"])
-        return bn
-    if spec.kind == "maxpool1d":
-        return L.MaxPool1D(s["pool"])
-    if spec.kind == "globalavgpool":
-        return L.GlobalAvgPool1D()
-    if spec.kind == "relu":
-        return L.ReLU()
-    if spec.kind == "lstm":
-        return L.LSTM(s["n_in"], s["units"], rng,
-                      return_sequences=bool(s.get("return_sequences", 0)))
-    raise ValueError(f"unknown layer kind {spec.kind!r}")
 
 
 def _rel_err(a: np.ndarray, n: np.ndarray) -> float:
@@ -151,10 +147,13 @@ def layer_grad_error(layer, x: np.ndarray, rng: np.random.Generator,
 
 def grad_check(spec: LayerSpec, eps: float = 1e-5, seed: int = 0) -> float:
     """Max relative error between analytic and central-difference grads."""
+    if spec.kind not in _KINDS:
+        raise ValueError(f"unknown layer kind {spec.kind!r}")
+    shape_of, build = _KINDS[spec.kind]
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
-    x = _sample_input(spec, rng)
-    if spec.kind != "softmax":
-        return layer_grad_error(_build(spec, rng), x, rng, eps)
+    x = _sample_input(spec, shape_of(spec.sizes), rng)
+    if build is not None:
+        return layer_grad_error(build(spec.sizes, rng), x, rng, eps)
 
     labels = rng.integers(0, spec.sizes["n_classes"], size=x.shape[0])
     _, probs = L.softmax_cross_entropy(x, labels)

@@ -9,7 +9,7 @@ Modes: "train" (batch statistics, stochastic regularizers on), "infer"
 regularizers on — that distinction belongs to the uq layers, plain layers
 treat it like infer except batch norm, which always uses running stats
 outside train).  Training backpropagates only train-mode passes, so
-MaxPool1D caches nothing outside train.
+BatchNorm1D and MaxPool1D cache nothing outside train.
 """
 
 from __future__ import annotations
@@ -266,30 +266,27 @@ class BatchNorm1D(Layer):
             var = self.running_var.value
         ivar = 1.0 / np.sqrt(var + self.EPS)
         xhat *= ivar[None, :, None]
-        self._cache = (xhat, ivar, mode, squeeze)
+        self._cache = (xhat, ivar, squeeze) if mode == "train" else None
         y = self.gamma.value[None, :, None] * xhat
         y += self.beta.value[None, :, None]
         return y[:, :, 0] if squeeze else y
 
     def backward(self, dy):
-        xhat, ivar, mode, squeeze = self._cache
+        xhat, ivar, squeeze = self._cache
         dy3 = self._as3d(dy)
         self.gamma.grad += (dy3 * xhat).sum(axis=(0, 2))
         self.beta.grad += dy3.sum(axis=(0, 2))
         dxhat = dy3 * self.gamma.value[None, :, None]
-        if mode == "train":
-            # (ivar / n) * (n * dxhat - s1 - xhat * s2), reusing two buffers
-            n = dy3.shape[0] * dy3.shape[2]
-            s1 = dxhat.sum(axis=(0, 2), keepdims=True)
-            dx = dxhat * xhat
-            s2 = dx.sum(axis=(0, 2), keepdims=True)
-            dxhat *= n
-            dxhat -= s1
-            np.multiply(xhat, s2, out=dx)
-            np.subtract(dxhat, dx, out=dx)
-            dx *= ivar[None, :, None] / n
-        else:
-            dx = dxhat * ivar[None, :, None]
+        # (ivar / n) * (n * dxhat - s1 - xhat * s2), reusing two buffers
+        n = dy3.shape[0] * dy3.shape[2]
+        s1 = dxhat.sum(axis=(0, 2), keepdims=True)
+        dx = dxhat * xhat
+        s2 = dx.sum(axis=(0, 2), keepdims=True)
+        dxhat *= n
+        dxhat -= s1
+        np.multiply(xhat, s2, out=dx)
+        np.subtract(dxhat, dx, out=dx)
+        dx *= ivar[None, :, None] / n
         return dx[:, :, 0] if squeeze else dx
 
 

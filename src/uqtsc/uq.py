@@ -150,7 +150,7 @@ class FlipoutDense(Layer):
             raise ShapeMismatch(
                 f"{self.name}: expected [batch, {self.n_in}], got {x.shape}")
         if mode == "infer" and self._frozen is None:
-            self._cache = (x, None)
+            self._cache = None
             return x @ self.mu_w.value + self.mu_b.value
         if self._frozen is not None:
             r, s, e_w, e_b = self._frozen
@@ -168,16 +168,13 @@ class FlipoutDense(Layer):
         xr = x * r
         y = x @ self.mu_w.value + (xr @ dw) * s \
             + self.mu_b.value + sig_b * e_b
-        self._cache = (x, (r, s, e_w, e_b, xr, dw))
+        self._cache = (x, r, s, e_w, e_b, xr, dw)
         return y
 
     def backward(self, dy):
-        x, noise = self._cache
+        x, r, s, e_w, e_b, xr, dw = self._cache
         self.mu_w.grad += x.T @ dy
         self.mu_b.grad += dy.sum(axis=0)
-        if noise is None:
-            return dy @ self.mu_w.value.T
-        r, s, e_w, e_b, xr, dw = noise
         dys = dy * s
         d_dw = xr.T @ dys
         # d softplus(rho) / d rho = sigmoid(rho)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from uqtsc import arch, cli, uq
-from uqtsc.nncore import LSTM, Conv1D, Dense, GlobalAvgPool1D, MaxPool1D
+from uqtsc.nncore import (LSTM, BatchNorm1D, Conv1D, Dense, GlobalAvgPool1D,
+                          MaxPool1D)
 
 
 def _forward_shapes(net, x):
@@ -160,10 +161,15 @@ def test_backward_skipping_first_dx_keeps_param_grads(family, method):
 # param counting
 
 
+def _trainable_count(net):
+    """Trainable scalars; running statistics excluded."""
+    return sum(p.value.size for p in net.params() if p.trainable)
+
+
 def test_param_count_dense():
     net = arch.Network([Dense(2, 2, np.random.default_rng(0))],
                        arch.ModelConfig(family="cnn"), 2, 1)
-    assert arch.param_count(net) == 6
+    assert _trainable_count(net) == 6
 
 
 def test_param_count_lstm_formula():
@@ -183,7 +189,7 @@ def test_param_count_fcn_summation_oracle():
         expect += 2 * f               # bn gamma + beta (running stats excluded)
         ch = f
     expect += ch * 2 + 2              # head
-    assert arch.param_count(net) == expect
+    assert _trainable_count(net) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -195,15 +201,19 @@ def _drop_positions(net):
 
 
 def test_mc_dropout_first_two_blocks_only():
-    cfg = arch.ModelConfig(family="cnn", uq="mc_dropout", cnn_blocks=3,
-                           dropout_rate=0.3)
-    net = arch.build_network(cfg, 6, 400)
-    convs = [i for i, l in enumerate(net.layers) if isinstance(l, Conv1D)]
-    drops = _drop_positions(net)
-    assert len(drops) == 2
-    # each dropout directly follows its conv, before the batchnorm
-    assert drops == [convs[0] + 1, convs[1] + 1]
-    assert all(d < convs[2] for d in drops)
+    for family in ("cnn", "fcn"):
+        cfg = arch.ModelConfig(family=family, uq="mc_dropout", cnn_blocks=3,
+                               dropout_rate=0.3)
+        net = arch.build_network(cfg, 6, 400)
+        convs = [i for i, l in enumerate(net.layers)
+                 if isinstance(l, Conv1D)]
+        drops = _drop_positions(net)
+        assert len(convs) == 3 and len(drops) == 2, family
+        # each dropout directly follows its conv, before the batchnorm
+        assert drops == [convs[0] + 1, convs[1] + 1], family
+        assert all(isinstance(net.layers[d + 1], BatchNorm1D)
+                   for d in drops), family
+        assert all(d < convs[2] for d in drops), family
 
 
 def test_mc_dropout_lstm_head_only():
@@ -232,12 +242,14 @@ def test_mc_dropout_resnet_blocks():
 
 
 def test_dropconnect_cnn_replaces_all_convs():
-    cfg = arch.ModelConfig(family="cnn", uq="dropconnect", cnn_blocks=3)
-    net = arch.build_network(cfg, 6, 400)
-    convs = [l for l in net.layers if isinstance(l, Conv1D)]
-    assert convs and all(isinstance(c, uq.DropConnectConv1D) for c in convs)
-    assert isinstance(net.layers[-1], Dense)
-    assert not isinstance(net.layers[-1], uq.DropConnectDense)
+    for family in ("cnn", "cnn_lstm"):
+        cfg = arch.ModelConfig(family=family, uq="dropconnect", cnn_blocks=3)
+        net = arch.build_network(cfg, 6, 400)
+        convs = [l for l in net.layers if isinstance(l, Conv1D)]
+        assert len(convs) == 3, family
+        assert all(isinstance(c, uq.DropConnectConv1D) for c in convs), family
+        assert isinstance(net.layers[-1], Dense), family
+        assert not isinstance(net.layers[-1], uq.DropConnectDense), family
 
 
 def test_dropconnect_lstm_head_only():
@@ -283,25 +295,10 @@ def test_all_family_method_pairs_construct(family, method):
     assert y.shape == (2, 2)
 
 
-def test_apply_uq_none_is_identity():
-    cfg = arch.ModelConfig(family="cnn")
-    net = arch.build_network(cfg, 6, 128)
-    assert arch.apply_uq(net, "none") is net
-
-
-def test_apply_uq_twice_rejected():
-    cfg = arch.ModelConfig(family="cnn")
-    net = arch.build_network(cfg, 6, 128)
-    arch.apply_uq(net, "mc_dropout")
-    with pytest.raises(arch.AlreadyWrapped):
-        arch.apply_uq(net, "flipout")
-
-
-def test_apply_uq_unknown_method():
-    cfg = arch.ModelConfig(family="cnn")
-    net = arch.build_network(cfg, 6, 128)
-    with pytest.raises(arch.UnsupportedCombination):
-        arch.apply_uq(net, "ensembles")
+def test_unknown_uq_method_rejected():
+    with pytest.raises(arch.InvalidConfig):
+        arch.build_network(arch.ModelConfig(family="cnn", uq="ensembles"),
+                           6, 128)
 
 
 @pytest.mark.parametrize("family", arch.FAMILIES)

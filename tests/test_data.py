@@ -504,6 +504,9 @@ def test_stats_roundtrip(tmp_path, small_log):
     ds = data.slide_windows(small_log, 100, 25)
     stats = data.fit_stats(ds)
     data.save_stats(stats, tmp_path / "stats.csv")
-    back = data.load_stats(tmp_path / "stats.csv")
-    np.testing.assert_array_equal(back.mean, stats.mean)
-    np.testing.assert_array_equal(back.std, stats.std)
+    lines = (tmp_path / "stats.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "channel,mean,std"
+    rows = [line.split(",") for line in lines[1:]]
+    assert tuple(r[0] for r in rows) == stats.channel_names
+    np.testing.assert_array_equal([float(r[1]) for r in rows], stats.mean)
+    np.testing.assert_array_equal([float(r[2]) for r in rows], stats.std)

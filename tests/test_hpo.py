@@ -185,19 +185,18 @@ def _cfg(batch):
 
 def test_halving_top1_reaches_top_budget():
     losses = {16: 0.1, 32: 0.2, 64: 0.3}
-    trials, survivors = hpo.successive_halving(
+    trials = hpo.successive_halving(
         [_cfg(16), _cfg(32), _cfg(64)], [16, 50],
         _fixed_loss_objective(losses), eta=3)
     assert [t.budget_epochs for t in trials] == [16, 16, 16, 50]
-    assert trials[-1].config.batch_size == 16
-    assert [c.batch_size for c in survivors[0]] == [16]
+    assert [t.config.batch_size for t in trials if t.rung == 1] == [16]
 
 
 def test_halving_single_config_survives():
-    trials, survivors = hpo.successive_halving(
+    trials = hpo.successive_halving(
         [_cfg(20)], [16, 50], _fixed_loss_objective({20: 0.7}))
     assert [t.budget_epochs for t in trials] == [16, 50]
-    assert all(s[0].batch_size == 20 for s in survivors)
+    assert all(t.config.batch_size == 20 for t in trials)
 
 
 def test_halving_failed_rank_last():
@@ -206,26 +205,26 @@ def test_halving_failed_rank_last():
             raise RuntimeError("boom")
         return hpo.TrialRecord(cfg, budget, 123.0)
 
-    trials, survivors = hpo.successive_halving(
+    trials = hpo.successive_halving(
         [_cfg(16), _cfg(32), _cfg(48)], [16, 50], objective, eta=3)
-    assert survivors[0][0].batch_size == 48
+    assert [t.config.batch_size for t in trials if t.rung == 1] == [48]
     failed = [t for t in trials if t.status == "failed"]
     assert len(failed) == 2
     assert all(t.val_loss == hpo.FAILED_LOSS for t in failed)
 
 
 def test_halving_tie_break_by_insertion_order():
-    trials, survivors = hpo.successive_halving(
+    trials = hpo.successive_halving(
         [_cfg(30), _cfg(40), _cfg(50)], [16, 50],
         _fixed_loss_objective({30: 0.5, 40: 0.5, 50: 0.5}), eta=3)
-    assert survivors[0][0].batch_size == 30
+    assert [t.config.batch_size for t in trials if t.rung == 1] == [30]
 
 
 def test_nan_loss_treated_as_failure():
     def objective(cfg, budget, seed):
         return hpo.TrialRecord(cfg, budget, float("nan"))
 
-    trials, _ = hpo.successive_halving([_cfg(24)], [16], objective)
+    trials = hpo.successive_halving([_cfg(24)], [16], objective)
     assert trials[0].status == "failed"
     assert trials[0].val_loss == hpo.FAILED_LOSS
 

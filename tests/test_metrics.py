@@ -179,16 +179,16 @@ def test_ece_empty_rejected():
 
 def test_f1_perfect():
     res = metrics.f1_and_accuracy(np.array([0, 1, 0, 1]), np.array([0, 1, 0, 1]))
-    assert tuple(res) == (1.0, 1.0, 1.0, 1.0)
+    assert (res.f1_cl0, res.f1_cl1, res.f1_weighted, res.accuracy) == \
+        (1.0, 1.0, 1.0, 1.0)
 
 
 def test_f1_confusion_hand_case():
     res = metrics.f1_and_accuracy(np.array([0, 1, 1, 1]), np.array([0, 0, 1, 1]))
-    f0, f1, fw, acc = res
-    assert f0 == pytest.approx(2 / 3, abs=1e-4)
-    assert f1 == pytest.approx(0.8, abs=1e-4)
-    assert fw == pytest.approx(0.7333, abs=1e-4)
-    assert acc == pytest.approx(0.75, abs=1e-12)
+    assert res.f1_cl0 == pytest.approx(2 / 3, abs=1e-4)
+    assert res.f1_cl1 == pytest.approx(0.8, abs=1e-4)
+    assert res.f1_weighted == pytest.approx(0.7333, abs=1e-4)
+    assert res.accuracy == pytest.approx(0.75, abs=1e-12)
 
 
 def test_f1_degenerate_all_one_class():
