@@ -172,7 +172,8 @@ class ResidualBlock(Layer):
 
     The shortcut is the identity when channel counts already match, else a
     kernel-1 projection conv with its own batch norm.  Residual block
-    `block` counts as conv block `block` for UQ placement.
+    `block` counts as conv block `block` for UQ placement, and the block
+    is stochastic when a sublayer is.
     """
 
     def __init__(self, n_in: int, config: ModelConfig, block: int,
@@ -196,6 +197,8 @@ class ResidualBlock(Layer):
             self.short_bn = None
         self._relus = [ReLU(), ReLU()]
         self._out_mask = None
+        self.stochastic = any(layer is not None and layer.stochastic
+                              for layer in self.convs + self.dropouts)
 
     def params(self):
         out = []
@@ -220,8 +223,9 @@ class ResidualBlock(Layer):
         else:
             short = x
         y = h + short
-        self._out_mask = y > 0
-        return y * self._out_mask
+        mask = y > 0
+        self._out_mask = mask if mode == "train" else None
+        return y * mask
 
     def backward(self, dy):
         dz = dy * self._out_mask
@@ -259,18 +263,43 @@ class Network:
     def named_params(self) -> list[tuple[str, np.ndarray]]:
         return [(p.name, p.value) for p in self.params()]
 
+    @property
+    def first_stochastic(self) -> int:
+        """Index of the first stochastic layer, len(layers) if none is.
+
+        In mc_infer mode every layer before it is deterministic.
+        """
+        return next((i for i, layer in enumerate(self.layers)
+                     if layer.stochastic), len(self.layers))
+
     def forward(self, x: np.ndarray, mode: str = "train",
-                rng: np.random.Generator | None = None) -> np.ndarray:
-        if x.ndim != 3 or x.shape[1] != self.n_channels \
-                or x.shape[2] != self.window_length:
-            raise ShapeMismatch(
-                f"expected [batch, {self.n_channels}, {self.window_length}], "
-                f"got {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("non-finite values in network input")
+                rng: np.random.Generator | None = None, start: int = 0,
+                hold=None) -> np.ndarray:
+        """Run layers[start:] on x and return their output.
+
+        With start 0, x is a network input and is checked first; otherwise
+        it is the input of layer `start`, such as a held prefix output.
+        `hold`, if given, is called with the input of layer
+        `first_stochastic` (the logits if there is none) as the loop
+        reaches it.  The loop rebinds its activation, so an input stays
+        alive past its layer only where hold keeps it.
+        """
+        if start == 0:
+            if x.ndim != 3 or x.shape[1] != self.n_channels \
+                    or x.shape[2] != self.window_length:
+                raise ShapeMismatch(
+                    f"expected [batch, {self.n_channels}, "
+                    f"{self.window_length}], got {x.shape}")
+            if not np.all(np.isfinite(x)):
+                raise ValueError("non-finite values in network input")
+        at = self.first_stochastic if hold is not None else -1
         h = x
-        for layer in self.layers:
+        for i, layer in enumerate(self.layers[start:], start):
+            if i == at:
+                hold(h)
             h = layer.forward(h, mode=mode, rng=rng)
+        if at == len(self.layers):
+            hold(h)
         return h
 
     def backward(self, dlogits: np.ndarray) -> None:

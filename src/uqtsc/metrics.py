@@ -1,11 +1,14 @@
 """Predictive posterior, entropy, calibration, F1, and the selection gate.
 
 The posterior over classes is the mean of M stochastic forward passes;
-entropy is computed on that mean distribution (natural log).  ECE bins by
-max-probability confidence into K equal-width right-inclusive bins by
-default; a positive-class binary variant bins by P(class 1) instead.
-Candidate selection requires both per-class F1 scores at or above 0.9 and
-mean entropy at or below 0.1, boundaries inclusive.
+entropy is computed on that mean distribution (natural log).  The layers
+before a network's first stochastic one are deterministic in mc_infer
+mode, so pass 0 holds their output per chunk and passes 1..M-1 start
+from it, but only where it takes no more bytes than the chunk itself.
+ECE bins by max-probability confidence into K equal-width right-inclusive
+bins by default; a positive-class binary variant bins by P(class 1)
+instead.  Candidate selection requires both per-class F1 scores at or
+above 0.9 and mean entropy at or below 0.1, boundaries inclusive.
 """
 
 from __future__ import annotations
@@ -69,8 +72,16 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
                          batch_size: int = 64) -> PredictiveDistribution:
     """Mean over m stochastic forward passes (mode mc_infer).
 
-    UQ-free networks are deterministic in mc_infer mode, so their m
-    samples coincide.
+    Passes run pass-outer, chunk-inner, so the rng draws come in the order
+    of m plain `net.forward` loops and the samples equal theirs.  Pass 0
+    runs every chunk through the whole network and holds the output of
+    its deterministic prefix (the layers before `net.first_stochastic`)
+    when that takes no more bytes than the chunk; passes 1..m-1 start
+    from a held output and rerun the prefix only where none is held.  So
+    a Flipout head reuses its whole trunk and a UQ-free network its
+    logits, while a conv whose output outgrows its input is recomputed
+    rather than held.  Softmax runs on float64 logits, so float32
+    networks yield rows that sum to 1 within 1e-9.
     """
     if m < 1:
         raise ValueError("need at least one posterior sample")
@@ -78,11 +89,27 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
         rng = np.random.default_rng(0)
     n = x.shape[0]
     samples = np.empty((m, n, 2))
+    start = net.first_stochastic
+    held: list[np.ndarray | None] = []  # per chunk, filled by pass 0
+
+    def hold(h):  # called inside pass 0 of the current chunk
+        if h.nbytes <= chunk.nbytes:
+            held[-1] = h
+
     for j in range(m):
-        for lo in range(0, n, batch_size):
+        for c, lo in enumerate(range(0, n, batch_size)):
             chunk = x[lo:lo + batch_size]
-            logits = net.forward(chunk, mode="mc_infer", rng=rng)
-            samples[j, lo:lo + chunk.shape[0]] = _softmax(logits)
+            if j == 0:
+                held.append(None)
+                logits = net.forward(chunk, mode="mc_infer", rng=rng,
+                                     hold=hold)
+            elif held[c] is None:
+                logits = net.forward(chunk, mode="mc_infer", rng=rng)
+            else:
+                logits = net.forward(held[c], mode="mc_infer", rng=rng,
+                                     start=start)
+            samples[j, lo:lo + chunk.shape[0]] = _softmax(
+                logits.astype(np.float64, copy=False))
     return PredictiveDistribution.from_samples(samples)
 
 

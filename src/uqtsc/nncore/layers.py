@@ -8,8 +8,9 @@ Modes: "train" (batch statistics, stochastic regularizers on), "infer"
 (deterministic), "mc_infer" (deterministic statistics but stochastic
 regularizers on — that distinction belongs to the uq layers, plain layers
 treat it like infer except batch norm, which always uses running stats
-outside train).  Training backpropagates only train-mode passes, so
-BatchNorm1D and MaxPool1D cache nothing outside train.
+outside train).  Training backpropagates only train-mode passes, so no
+layer caches anything outside train: an infer or mc_infer pass clears
+the cache, and nothing but the Params stays held between passes.
 """
 
 from __future__ import annotations
@@ -52,9 +53,15 @@ class Param:
 
 
 class Layer:
-    """Base layer: stateless by default, subclasses add params and caches."""
+    """Base layer: stateless by default, subclasses add params and caches.
+
+    `stochastic` marks a layer that draws from the rng in mc_infer mode;
+    every layer before a network's first stochastic one is deterministic
+    there.
+    """
 
     name: str = ""
+    stochastic: bool = False
 
     def params(self) -> list[Param]:
         return []
@@ -87,7 +94,7 @@ class Dense(Layer):
         self.n_in, self.n_out = n_in, n_out
         self.w = Param(f"{name}_w", _fan_in_uniform(rng, (n_in, n_out), n_in))
         self.b = Param(f"{name}_b", np.zeros(n_out))
-        self._x = None
+        self._x = self._w_used = None
 
     def params(self):
         return [self.w, self.b]
@@ -103,9 +110,9 @@ class Dense(Layer):
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ShapeMismatch(
                 f"{self.name}: expected [batch, {self.n_in}], got {x.shape}")
-        self._x = x
-        self._w_used = self._weight(mode, rng)
-        return x @ self._w_used + self.b.value
+        w = self._weight(mode, rng)
+        self._x, self._w_used = (x, w) if mode == "train" else (None, None)
+        return x @ w + self.b.value
 
     def backward(self, dy):
         self._backprop_weight(self._x.T @ dy)
@@ -152,7 +159,7 @@ class Conv1D(Layer):
         self.w = Param(f"{name}_w",
                        _fan_in_uniform(rng, (filters, n_in, kernel), fan_in))
         self.b = Param(f"{name}_b", np.zeros(filters))
-        self._xp = None
+        self._xp = self._w_used = None
         self._pads = (0, 0)
 
     def params(self):
@@ -178,8 +185,8 @@ class Conv1D(Layer):
                 f"{self.name}: kernel {k} exceeds padded length {xp.shape[2]}")
         # cast so the GEMM and its output stay in the input precision
         w = self._weight(mode, rng).astype(x.dtype, copy=False)
-        self._w_used = w
-        self._xp, self._pads = xp, (left, right)
+        self._pads = (left, right)
+        self._xp, self._w_used = (xp, w) if mode == "train" else (None, None)
         y = np.dot(_im2col(xp, k),
                    w.transpose(1, 2, 0).reshape(-1, self.filters))
         y = np.ascontiguousarray(
@@ -351,8 +358,9 @@ class ReLU(Layer):
         self._mask = None
 
     def forward(self, x, mode="train", rng=None):
-        self._mask = x > 0
-        return x * self._mask
+        mask = x > 0
+        self._mask = mask if mode == "train" else None
+        return x * mask
 
     def backward(self, dy):
         return dy * self._mask
@@ -415,7 +423,7 @@ class LSTM(Layer):
             h = o * np.tanh(c)
             gates[t] = np.concatenate([i, f, g, o], axis=1)
             hs[t], cs[t] = h, c
-        self._cache = (x, hs, cs, gates, c_prev)
+        self._cache = (x, hs, cs, gates, c_prev) if mode == "train" else None
         if self.return_sequences:
             return hs.transpose(1, 0, 2)
         return h

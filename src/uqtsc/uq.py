@@ -34,10 +34,13 @@ class _Bernoulli:
     """The one inverted-scaling Bernoulli mask behind dropout and DropConnect.
 
     A fresh mask is drawn per pass in active modes when p > 0; otherwise
-    the tensor passes through and the mask is cleared.  The mask comes
-    from a float64 uniform draw but is built in the tensor's dtype, so a
-    float32 pass stays float32.
+    the tensor passes through.  Only a train pass keeps its mask for
+    backward.  The mask comes from a float64 uniform draw but is built in
+    the tensor's dtype, so a float32 pass stays float32.  Stochastic even
+    at p = 0, as the layer kind, not the rate, decides it.
     """
+
+    stochastic = True
 
     def _masked(self, v, mode, rng):
         self._mask = None
@@ -45,9 +48,10 @@ class _Bernoulli:
             if rng is None:
                 raise ValueError(f"{self.name}: active mode needs an rng")
             keep = 1.0 - self.p
-            self._mask = np.divide(rng.random(v.shape) < keep, keep,
-                                   dtype=v.dtype)
-            return v * self._mask
+            mask = np.divide(rng.random(v.shape) < keep, keep, dtype=v.dtype)
+            if mode == "train":
+                self._mask = mask
+            return v * mask
         return v
 
     def _mask_grad(self, g):
@@ -121,6 +125,8 @@ class FlipoutDense(Layer):
     drawn in float64 and cast to the input dtype.
     """
 
+    stochastic = True
+
     def __init__(self, base: Dense, name: str | None = None):
         self.name = name or base.name
         self.n_in, self.n_out = base.n_in, base.n_out
@@ -168,7 +174,7 @@ class FlipoutDense(Layer):
         xr = x * r
         y = x @ self.mu_w.value + (xr @ dw) * s \
             + self.mu_b.value + sig_b * e_b
-        self._cache = (x, r, s, e_w, e_b, xr, dw)
+        self._cache = (x, r, s, e_w, e_b, xr, dw) if mode == "train" else None
         return y
 
     def backward(self, dy):

@@ -5,7 +5,7 @@ import pytest
 
 from uqtsc import arch, cli, uq
 from uqtsc.nncore import (LSTM, BatchNorm1D, Conv1D, Dense, GlobalAvgPool1D,
-                          MaxPool1D)
+                          Layer, MaxPool1D)
 
 
 def _forward_shapes(net, x):
@@ -293,6 +293,77 @@ def test_all_family_method_pairs_construct(family, method):
     x = np.random.default_rng(6).normal(size=(2, 6, 128))
     y = net.forward(x, mode="mc_infer", rng=np.random.default_rng(7))
     assert y.shape == (2, 2)
+
+
+def _layertrace():
+    """The benchmark's tracer, whose prefix timing reads _is_stochastic."""
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("blocks", (1, 3))
+@pytest.mark.parametrize("family", arch.FAMILIES)
+@pytest.mark.parametrize("method", arch.UQ_METHODS)
+def test_first_stochastic_agrees_with_layertrace(family, method, blocks):
+    trace = _layertrace()
+    cfg = arch.ModelConfig(family=family, uq=method, cnn_blocks=blocks,
+                           lstm_layers=blocks)
+    net = arch.build_network(cfg, 6, 128)
+    flags = [trace._is_stochastic(layer, uq, arch) for layer in net.layers]
+    assert [layer.stochastic for layer in net.layers] == flags
+    assert net.first_stochastic == (flags + [True]).index(True)
+
+
+def test_first_stochastic_positions():
+    def first(**kw):
+        net = arch.build_network(arch.ModelConfig(**kw), 6, 128)
+        return net.first_stochastic, len(net.layers)
+
+    n = first(family="cnn")[1]
+    assert first(family="cnn") == (n, n)            # none: the logits
+    assert first(family="cnn", uq="mc_dropout")[0] == 1  # after conv1
+    assert first(family="cnn", uq="dropconnect")[0] == 0
+    assert first(family="cnn", uq="flipout") == (n - 1, n)
+    # p = 0 still counts: the layer kind, not the rate, decides
+    assert first(family="lstm", uq="mc_dropout", dropout_rate=0.0)[0] == 2
+
+
+def _held_arrays(obj, seen=None):
+    """Names of ndarrays reachable from a layer, Params excluded."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    found = []
+    for key, val in vars(obj).items():
+        for item in val if isinstance(val, (list, tuple)) else (val,):
+            if isinstance(item, np.ndarray):
+                found.append(f"{type(obj).__name__}.{key}")
+            elif isinstance(item, Layer):
+                found += _held_arrays(item, seen)
+    return found
+
+
+@pytest.mark.parametrize("family", arch.FAMILIES)
+@pytest.mark.parametrize("method", arch.UQ_METHODS)
+def test_inference_passes_hold_no_caches(family, method):
+    """A train pass fills the backward caches; infer/mc_infer clear them."""
+    cfg = arch.ModelConfig(family=family, uq=method, cnn_blocks=2)
+    net = arch.build_network(cfg, 6, 64, seed=4)
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(3, 6, 64))
+    net.backward(np.ones_like(net.forward(x, mode="train", rng=rng)))
+    assert any(_held_arrays(layer) for layer in net.layers)
+    for mode in ("infer", "mc_infer"):
+        net.forward(x, mode="train", rng=rng)
+        net.forward(x, mode=mode, rng=rng)
+        held = [name for layer in net.layers for name in _held_arrays(layer)]
+        assert held == [], (mode, held)
 
 
 def test_unknown_uq_method_rejected():

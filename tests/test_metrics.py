@@ -1,9 +1,12 @@
 """Posterior, entropy, ECE, F1, and the selection gate against oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from uqtsc import arch, metrics
+from uqtsc.nncore import ShapeMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +60,87 @@ def test_posterior_stochastic_for_uq_net():
     dist = metrics.predictive_posterior(net, x, m=5,
                                         rng=np.random.default_rng(7))
     assert not np.array_equal(dist.samples[0], dist.samples[1])
+
+
+def _family_net(family, method, dtype=np.float64):
+    cfg = arch.ModelConfig(family=family, uq=method, cnn_blocks=2, f1=16,
+                           f2=16, k1=4, k2=4, max_pool=2, u1=8,
+                           dropout_rate=0.25)
+    return arch.build_network(cfg, 6, 32, seed=2).astype(dtype)
+
+
+def _plain_samples(net, x, m, rng, batch_size=64):
+    """m full forward passes per chunk, pass-outer, as the reference."""
+    samples = np.empty((m, len(x), 2))
+    for j in range(m):
+        for lo in range(0, len(x), batch_size):
+            logits = net.forward(x[lo:lo + batch_size], mode="mc_infer",
+                                 rng=rng)
+            samples[j, lo:lo + len(logits)] = metrics._softmax(
+                logits.astype(np.float64))
+    return samples
+
+
+@pytest.mark.parametrize("method", arch.UQ_METHODS)
+@pytest.mark.parametrize("family", arch.FAMILIES)
+def test_posterior_prefix_reuse_equals_plain_loop(family, method):
+    """150 windows are 3 chunks, the last one ragged."""
+    net = _family_net(family, method)
+    x = np.random.default_rng(20).normal(size=(150, 6, 32))
+    rng_a, rng_b = np.random.default_rng(21), np.random.default_rng(21)
+    dist = metrics.predictive_posterior(net, x, m=3, rng=rng_a)
+    expect = _plain_samples(net, x, 3, rng_b)
+    assert dist.samples.tobytes() == expect.tobytes()
+    assert rng_a.random() == rng_b.random()
+
+
+@pytest.mark.parametrize("method", arch.UQ_METHODS)
+@pytest.mark.parametrize("family", arch.FAMILIES)
+def test_posterior_checks_every_chunk(family, method):
+    net = _family_net(family, method)
+    x = np.random.default_rng(22).normal(size=(150, 6, 32))
+    x[140, 3, 7] = np.nan  # in the ragged last chunk only
+    with pytest.raises(ValueError, match="non-finite"):
+        metrics.predictive_posterior(net, x, m=3)
+    with pytest.raises(ShapeMismatch):
+        metrics.predictive_posterior(net, x[:, :, :31], m=3)
+
+
+@pytest.mark.parametrize("method", ("none", "mc_dropout"))
+def test_posterior_float32_net_normalized(method):
+    """Softmax runs on float64 logits, so float32 rows sum to 1 in 1e-9."""
+    net = _family_net("cnn", method, np.float32)
+    x = np.random.default_rng(23).normal(size=(150, 6, 32)).astype(np.float32)
+    dist = metrics.predictive_posterior(net, x, m=3,
+                                        rng=np.random.default_rng(24))
+    expect = _plain_samples(net, x, 3, np.random.default_rng(24))
+    assert dist.samples.tobytes() == expect.tobytes()
+
+
+def test_posterior_memory_peak_not_above_plain_loop():
+    """conv1's output is 10.7x its input, so it is recomputed, not held.
+
+    Holding it, or keeping any reference to it while the suffix runs,
+    would add a 13 MB conv1 output per chunk to the peak; the 64 KiB slack
+    covers only Python bookkeeping objects.
+    """
+    cfg = arch.ModelConfig(family="cnn", uq="mc_dropout", cnn_blocks=2,
+                           f1=64, f2=64, k1=8, k2=8, max_pool=4)
+    net = arch.build_network(cfg, 6, 400, seed=0)
+    x = np.random.default_rng(25).normal(size=(150, 6, 400))
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    plain = peak(lambda: _plain_samples(net, x, 3, np.random.default_rng(0)))
+    ours = peak(lambda: metrics.predictive_posterior(
+        net, x, m=3, rng=np.random.default_rng(0)))
+    assert ours <= plain + 64 * 1024, (ours, plain)
 
 
 def test_posterior_rejects_unnormalized():
