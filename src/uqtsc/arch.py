@@ -137,19 +137,6 @@ class ModelConfig:
         return cls.from_pairs(pairs)
 
 
-class Transpose(Layer):
-    """[B,C,L] <-> [B,L,C] bridge from conv stacks into LSTMs."""
-
-    def __init__(self, name: str = "tr"):
-        self.name = name
-
-    def forward(self, x, mode="train", rng=None):
-        return x.transpose(0, 2, 1)
-
-    def backward(self, dy):
-        return dy.transpose(0, 2, 1)
-
-
 def _conv(config: ModelConfig, n_in: int, filters: int, kernel: int,
           rng: np.random.Generator, name: str) -> Conv1D:
     """A same-padded conv, DropConnect-wrapped under that method."""
@@ -277,8 +264,10 @@ class Network:
                 hold=None) -> np.ndarray:
         """Run layers[start:] on x and return their output.
 
-        With start 0, x is a network input and is checked first; otherwise
-        it is the input of layer `start`, such as a held prefix output.
+        With start 0, x is a network input in the on-disk [batch, channels,
+        length] layout: it is checked, then viewed as [batch, length,
+        channels], the layout of every layer, without a copy.  Otherwise
+        x is the input of layer `start`, such as a held prefix output.
         `hold`, if given, is called with the input of layer
         `first_stochastic` (the logits if there is none) as the loop
         reaches it.  The loop rebinds its activation, so an input stays
@@ -292,6 +281,7 @@ class Network:
                     f"{self.window_length}], got {x.shape}")
             if not np.all(np.isfinite(x)):
                 raise ValueError("non-finite values in network input")
+            x = x.transpose(0, 2, 1)
         at = self.first_stochastic if hold is not None else -1
         h = x
         for i, layer in enumerate(self.layers[start:], start):
@@ -380,14 +370,13 @@ def _cnn(config, n_channels, window_length, rng):
 
 
 def _lstm(config, n_channels, window_length, rng):
-    stack, ch = _lstm_stack(config, n_channels, rng)
-    return [Transpose()] + stack, ch
+    return _lstm_stack(config, n_channels, rng)
 
 
 def _cnn_lstm(config, n_channels, window_length, rng):
     convs, ch = _conv_blocks(config, n_channels, window_length, rng)
     stack, ch = _lstm_stack(config, ch, rng)
-    return convs + [Transpose()] + stack, ch
+    return convs + stack, ch
 
 
 def _fcn(config, n_channels, window_length, rng):

@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arch import ModelConfig
+from .arch import ModelConfig, ShapeCollapse
+from .nncore.layers import KernelTooLarge
 
 BANDWIDTH_FACTOR = 3.0
 TOP_FRACTION = 0.15
@@ -35,6 +36,9 @@ RANDOM_FRACTION = 1.0 / 3.0
 # escape while still localizing each dim to a few percent of its range.
 MIN_BANDWIDTH = 0.03
 FAILED_LOSS = float("inf")
+# what a valid but unworkable config raises: its trial is recorded as
+# failed; any other exception is a bug and ends the search
+_CONFIG_ERRORS = (ShapeCollapse, KernelTooLarge)
 
 TRIAL_CSV_FIXED = ("trial_id", "bracket", "rung", "budget_epochs", "status",
                    "val_loss", "val_wF1")
@@ -286,7 +290,7 @@ class TrialRecord:
 def _evaluate(objective, config, budget, seed, trial_id, bracket, rung):
     try:
         rec = objective(config, budget, seed)
-    except Exception:
+    except _CONFIG_ERRORS:
         rec = TrialRecord(config, budget, FAILED_LOSS, status="failed")
     if rec.status == "ok" and not math.isfinite(rec.val_loss):
         rec = replace(rec, val_loss=FAILED_LOSS, status="failed")

@@ -100,9 +100,9 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
         for c, lo in enumerate(range(0, n, batch_size)):
             chunk = x[lo:lo + batch_size]
             if j == 0:
-                held.append(None)
+                held.append(None)  # no prefix to hold when start is 0
                 logits = net.forward(chunk, mode="mc_infer", rng=rng,
-                                     hold=hold)
+                                     hold=hold if start else None)
             elif held[c] is None:
                 logits = net.forward(chunk, mode="mc_infer", rng=rng)
             else:

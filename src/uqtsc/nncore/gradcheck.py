@@ -58,7 +58,7 @@ def _batchnorm(s, rng):
 
 
 def _seq_shape(s):
-    return (s["batch"], s["n_ch"], s["length"])
+    return (s["batch"], s["length"], s["n_ch"])
 
 
 # kind -> (input shape from sizes, builder from (sizes, rng)).  grad_check
@@ -66,7 +66,7 @@ def _seq_shape(s):
 _KINDS = {
     "dense": (lambda s: (s["batch"], s["n_in"]),
               lambda s, rng: L.Dense(s["n_in"], s["n_out"], rng)),
-    "conv1d": (lambda s: (s["batch"], s["n_in"], s["length"]),
+    "conv1d": (lambda s: (s["batch"], s["length"], s["n_in"]),
                lambda s, rng: L.Conv1D(s["n_in"], s["filters"], s["kernel"],
                                        rng, padding=s.get("padding", "same"))),
     # length 0 means a [B,F] input
@@ -94,10 +94,10 @@ def _sample_input(spec: LayerSpec, shape,
         # keep within-window values separated so argmax cannot flip
         p = spec.sizes["pool"]
         while True:
-            n = shape[2] // p
-            xr = x[:, :, :n * p].reshape(shape[0], shape[1], n, p)
-            srt = np.sort(xr, axis=3)
-            if p == 1 or np.all(np.diff(srt, axis=3) > 1e-3):
+            n = shape[1] // p
+            xr = x[:, :n * p].reshape(shape[0], n, p, shape[2])
+            srt = np.sort(xr, axis=2)
+            if p == 1 or np.all(np.diff(srt, axis=2) > 1e-3):
                 break
             x = rng.normal(size=shape)
     return x

@@ -1,7 +1,11 @@
 """Layer forward/backward kernels.
 
-Conventions: sequence tensors are [batch, channels, length]; feature
-tensors are [batch, features]; LSTM inputs are [batch, length, features].
+Conventions: sequence tensors are [batch, length, channels], so the
+channel axis is last and every time step's channels sit together in
+memory; feature tensors are [batch, features].  Conv, batch norm,
+pooling and LSTM layers all take and return this layout, and an LSTM
+reads a conv stack's output as it is.  Parameters keep their own shapes
+(a conv weight is [filters, in_channels, kernel]).
 A train-mode `forward(x, mode, rng)` caches whatever `backward(dy)`
 needs; backward returns dx and accumulates parameter gradients in place.
 Modes: "train" (batch statistics, stochastic regularizers on), "infer"
@@ -129,22 +133,28 @@ def pad_same(x: np.ndarray, k: int) -> tuple[np.ndarray, int, int]:
     right = k - 1 - left
     if left == 0 and right == 0:
         return x, 0, 0
-    return np.pad(x, ((0, 0), (0, 0), (left, right))), left, right
+    return np.pad(x, ((0, 0), (left, right), (0, 0))), left, right
 
 
 def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
-    """[B, C, Lp] -> [B*Lout, C*k]: every length-k window as one row."""
-    b, c, lp = xp.shape
-    v = np.lib.stride_tricks.sliding_window_view(xp, k, axis=2)
-    return v.transpose(0, 2, 1, 3).reshape(b * (lp - k + 1), c * k)
+    """[B, Lp, C] -> [B*Lout, k*C]: every length-k window as one row.
+
+    xp is C-contiguous, so the k time steps of a window are k*C adjacent
+    elements and one strided view covers every window.
+    """
+    b, lp, c = xp.shape
+    s_b, s_l, _ = xp.strides
+    v = np.lib.stride_tricks.as_strided(
+        xp, (b, lp - k + 1, k * c), (s_b, s_l, xp.itemsize), writeable=False)
+    return v.reshape(b * (lp - k + 1), k * c)
 
 
 class Conv1D(Layer):
-    """Cross-correlation over [batch, channels, length] with bias.
+    """Cross-correlation over [batch, length, channels] with bias.
 
-    Implemented as one GEMM over the im2col matrix of the padded input,
-    i.e. one large GEMM per call instead of one small matmul per kernel
-    offset.
+    Implemented as one GEMM of the im2col matrix of the padded input
+    against the [k*C, F] weight matrix, whose output is already
+    [batch, length, filters].
     """
 
     def __init__(self, n_in: int, filters: int, kernel: int,
@@ -159,7 +169,7 @@ class Conv1D(Layer):
         self.w = Param(f"{name}_w",
                        _fan_in_uniform(rng, (filters, n_in, kernel), fan_in))
         self.b = Param(f"{name}_b", np.zeros(filters))
-        self._xp = self._w_used = None
+        self._xp = self._wmat = None
         self._pads = (0, 0)
 
     def params(self):
@@ -172,26 +182,26 @@ class Conv1D(Layer):
         self.w.grad += dw_eff
 
     def forward(self, x, mode="train", rng=None):
-        if x.ndim != 3 or x.shape[1] != self.n_in:
+        if x.ndim != 3 or x.shape[2] != self.n_in:
             raise ShapeMismatch(
-                f"{self.name}: expected [batch, {self.n_in}, len], got {x.shape}")
+                f"{self.name}: expected [batch, len, {self.n_in}], got {x.shape}")
         k = self.kernel
         if self.padding == "same":
             xp, left, right = pad_same(x, k)
         else:
             xp, left, right = x, 0, 0
-        if k > xp.shape[2]:
+        if k > xp.shape[1]:
             raise KernelTooLarge(
-                f"{self.name}: kernel {k} exceeds padded length {xp.shape[2]}")
-        # cast so the GEMM and its output stay in the input precision
-        w = self._weight(mode, rng).astype(x.dtype, copy=False)
+                f"{self.name}: kernel {k} exceeds padded length {xp.shape[1]}")
+        xp = np.ascontiguousarray(xp)
+        # [F, C, k] -> [k*C, F], rows in im2col column order; the cast
+        # keeps the GEMM and its output in the input precision
+        wmat = self._weight(mode, rng).astype(x.dtype, copy=False).transpose(
+            2, 1, 0).reshape(k * self.n_in, self.filters)
         self._pads = (left, right)
-        self._xp, self._w_used = (xp, w) if mode == "train" else (None, None)
-        y = np.dot(_im2col(xp, k),
-                   w.transpose(1, 2, 0).reshape(-1, self.filters))
-        y = np.ascontiguousarray(
-            y.reshape(len(x), -1, self.filters).transpose(0, 2, 1))
-        y += self.b.value[None, :, None]
+        self._xp, self._wmat = (xp, wmat) if mode == "train" else (None, None)
+        y = np.dot(_im2col(xp, k), wmat).reshape(len(x), -1, self.filters)
+        y += self.b.value
         return y
 
     def backward(self, dy, input_grad=True):
@@ -201,33 +211,31 @@ class Conv1D(Layer):
         col2im are skipped: a network's first layer has no use for dx.
         """
         xp, (left, right) = self._xp, self._pads
-        b, f, l_out = dy.shape
-        k = self.kernel
-        c = self.n_in
-        dw = np.dot(dy.transpose(1, 0, 2).reshape(f, b * l_out),
-                    _im2col(xp, k))
-        self._backprop_weight(dw.reshape(f, c, k))
-        self.b.grad += dy.sum(axis=(0, 2))
+        b, l_out, f = dy.shape
+        k, c = self.kernel, self.n_in
+        dy2 = dy.reshape(b * l_out, f)
+        dw = np.dot(dy2.T, _im2col(xp, k))
+        self._backprop_weight(dw.reshape(f, k, c).transpose(0, 2, 1))
+        self.b.grad += dy2.sum(axis=0)
         if not input_grad:
             return None
-        dcol = np.dot(dy.transpose(0, 2, 1).reshape(b * l_out, f),
-                      self._w_used.reshape(f, c * k))
-        dcol = dcol.reshape(b, l_out, c, k)
-        # col2im in the input's dtype: scatter-add each kernel offset,
-        # time-major so every add writes a contiguous block
-        dxp_t = np.zeros((b, l_out + k - 1, c), dtype=xp.dtype)
+        dcol = np.dot(dy2, self._wmat.T).reshape(b, l_out, k, c)
+        # col2im in the input's dtype: scatter-add each kernel offset
+        dxp = np.zeros((b, l_out + k - 1, c), dtype=xp.dtype)
         for j in range(k):
-            dxp_t[:, j:j + l_out] += dcol[:, :, :, j]
-        return np.ascontiguousarray(
-            dxp_t[:, left:xp.shape[2] - right].transpose(0, 2, 1))
+            dxp[:, j:j + l_out] += dcol[:, :, j]
+        return dxp[:, left:xp.shape[1] - right]
 
 
 class BatchNorm1D(Layer):
-    """Per-channel batch normalization for [B,C,L] or [B,F] tensors.
+    """Per-channel batch normalization over the last axis.
 
-    Train mode normalizes by biased batch statistics and updates running
-    stats with momentum 0.9, kept in the parameter dtype; infer/mc_infer
-    use the running stats.
+    Statistics reduce over every other axis, so [B, L, C] sequences and
+    [B, F] features share one path.  Train mode normalizes by biased
+    batch statistics and updates running stats with momentum 0.9, kept
+    in the parameter dtype; infer/mc_infer use the running stats.
+    Per-channel vectors are tiled to a row of L*C values before they
+    broadcast, which keeps the elementwise loops long.
     """
 
     MOMENTUM = 0.9
@@ -245,60 +253,61 @@ class BatchNorm1D(Layer):
     def params(self):
         return [self.gamma, self.beta, self.running_mean, self.running_var]
 
-    @staticmethod
-    def _as3d(x):
-        return x[:, :, None] if x.ndim == 2 else x
-
     def forward(self, x, mode="train", rng=None):
-        if x.shape[1] != self.n_ch:
-            raise ShapeMismatch(f"{self.name}: expected {self.n_ch} channels")
-        squeeze = x.ndim == 2
-        x3 = self._as3d(x)
+        c = self.n_ch
+        if x.shape[-1] != c:
+            raise ShapeMismatch(f"{self.name}: expected {c} channels")
+        rows = x.reshape(len(x), -1)  # [B, L*C]
+        reps = rows.shape[1] // c
         if mode == "train":
-            if x3.shape[0] < 2:
+            if len(x) < 2:
                 raise BatchTooSmall(f"{self.name}: train mode needs batch >= 2")
-            mean = x3.mean(axis=(0, 2))
-            xhat = x3 - mean[None, :, None]
-            # biased variance from the same sums np.var does: bit-identical
-            var = np.square(xhat).sum(axis=(0, 2))
-            np.true_divide(var, np.intp(x3.shape[0] * x3.shape[2]), out=var,
-                           casting="unsafe")
+            n = rows.size // c
+            mean = np.einsum("nc->c", rows.reshape(-1, c)) / n
+            xhat = rows - np.tile(mean, reps)
+            flat = xhat.reshape(-1, c)
+            var = np.einsum("nc,nc->c", flat, flat) / n
             m = self.MOMENTUM
             for stat, batch in ((self.running_mean, mean),
                                 (self.running_var, var)):
                 stat.value = (m * stat.value + (1 - m) * batch).astype(
                     stat.value.dtype, copy=False)
         else:
-            xhat = x3 - self.running_mean.value[None, :, None]
+            xhat = rows - np.tile(self.running_mean.value, reps)
             var = self.running_var.value
         ivar = 1.0 / np.sqrt(var + self.EPS)
-        xhat *= ivar[None, :, None]
-        self._cache = (xhat, ivar, squeeze) if mode == "train" else None
-        y = self.gamma.value[None, :, None] * xhat
-        y += self.beta.value[None, :, None]
-        return y[:, :, 0] if squeeze else y
+        xhat *= np.tile(ivar, reps)
+        self._cache = (xhat, ivar) if mode == "train" else None
+        y = xhat * np.tile(self.gamma.value, reps)
+        y += np.tile(self.beta.value, reps)
+        return y.reshape(x.shape)
 
     def backward(self, dy):
-        xhat, ivar, squeeze = self._cache
-        dy3 = self._as3d(dy)
-        self.gamma.grad += (dy3 * xhat).sum(axis=(0, 2))
-        self.beta.grad += dy3.sum(axis=(0, 2))
-        dxhat = dy3 * self.gamma.value[None, :, None]
-        # (ivar / n) * (n * dxhat - s1 - xhat * s2), reusing two buffers
-        n = dy3.shape[0] * dy3.shape[2]
-        s1 = dxhat.sum(axis=(0, 2), keepdims=True)
-        dx = dxhat * xhat
-        s2 = dx.sum(axis=(0, 2), keepdims=True)
-        dxhat *= n
-        dxhat -= s1
-        np.multiply(xhat, s2, out=dx)
-        np.subtract(dxhat, dx, out=dx)
-        dx *= ivar[None, :, None] / n
-        return dx[:, :, 0] if squeeze else dx
+        xhat, ivar = self._cache
+        c = self.n_ch
+        rows = dy.reshape(len(dy), -1)
+        reps = rows.shape[1] // c
+        n = rows.size // c
+        dgamma = np.einsum("nc,nc->c", rows.reshape(-1, c), xhat.reshape(-1, c))
+        dbeta = np.einsum("nc->c", rows.reshape(-1, c))
+        self.gamma.grad += dgamma
+        self.beta.grad += dbeta
+        # gamma * ivar / n * (n * dy - dbeta - xhat * dgamma)
+        dx = xhat * np.tile(dgamma, reps)
+        np.subtract(rows * n, dx, out=dx)
+        dx -= np.tile(dbeta, reps)
+        dx *= np.tile(self.gamma.value * ivar / n, reps)
+        return dx.reshape(dy.shape)
 
 
 class MaxPool1D(Layer):
-    """Non-overlapping max pooling; trailing remainder is dropped."""
+    """Non-overlapping max pooling over time; trailing remainder is dropped.
+
+    The max is a running np.maximum over the p positions of each window.
+    On ties np.maximum returns its second operand, the running max, so the
+    first occurrence wins, as with argmax (signed zeros too).  Train mode
+    also records which position that was, for backward.
+    """
 
     def __init__(self, pool: int, name: str = "pool"):
         if pool < 1:
@@ -309,47 +318,56 @@ class MaxPool1D(Layer):
 
     def forward(self, x, mode="train", rng=None):
         p = self.pool
-        b, c, l = x.shape
+        b, l, c = x.shape
         n = l // p
-        xr = x[:, :, :n * p].reshape(b, c, n, p)
+        xr = x[:, :n * p].reshape(b, n, p, c)
+        y = xr[:, :, 0].copy()
+        for j in range(1, p):
+            np.maximum(xr[:, :, j], y, out=y)
         if mode != "train":
-            # no backward follows: running max, nothing cached.  On ties
-            # np.maximum returns its second operand, the running max, so
-            # the first occurrence wins as with argmax (signed zeros too)
             self._cache = None
-            y = xr[..., 0].copy()
-            for j in range(1, p):
-                np.maximum(xr[..., j], y, out=y)
             return y
-        arg = xr.argmax(axis=3)
+        # first position holding the max: the last one unless an earlier
+        # one matches, checked back to front so the earliest match wins.
+        # arg = j + miss * (arg - j) sets j where x_j == y, else keeps arg
+        arg = np.full(y.shape, p - 1, dtype=np.min_scalar_type(p - 1))
+        miss = np.empty_like(arg)
+        for j in range(p - 2, -1, -1):
+            np.not_equal(xr[:, :, j], y, out=miss)
+            arg -= j
+            arg *= miss
+            arg += j
         self._cache = (x.shape, arg)
-        return np.take_along_axis(xr, arg[..., None], axis=3)[..., 0]
+        return y
 
     def backward(self, dy):
-        (b, c, l), arg = self._cache
+        (b, l, c), arg = self._cache
         p = self.pool
         n = l // p
-        dxr = np.zeros((b, c, n, p), dtype=dy.dtype)
-        np.put_along_axis(dxr, arg[..., None], dy[..., None], axis=3)
-        dx = dxr.reshape(b, c, n * p)
-        if n * p < l:  # the dropped remainder gets a zero gradient
-            dx = np.pad(dx, ((0, 0), (0, 0), (0, l - n * p)))
+        # flat position in dx of the max of window i, channel k: time step
+        # i*p + arg, so (bi*l + i*p + arg)*c + k; the dropped remainder
+        # keeps a zero gradient
+        idx = arg * np.intp(c)
+        idx += np.arange(n)[:, None] * (p * c) + np.arange(c)
+        idx += np.arange(b)[:, None, None] * (l * c)
+        dx = np.zeros((b, l, c), dtype=dy.dtype)
+        dx.reshape(-1)[idx.reshape(-1)] = dy.reshape(-1)
         return dx
 
 
 class GlobalAvgPool1D(Layer):
-    """[B,C,L] -> [B,C] mean over the time axis."""
+    """[B,L,C] -> [B,C] mean over the time axis."""
 
     def __init__(self, name: str = "gap"):
         self.name = name
         self._l = None
 
     def forward(self, x, mode="train", rng=None):
-        self._l = x.shape[2]
-        return x.mean(axis=2)
+        self._l = x.shape[1]
+        return x.mean(axis=1)
 
     def backward(self, dy):
-        return np.repeat(dy[:, :, None], self._l, axis=2) / self._l
+        return np.repeat(dy[:, None, :], self._l, axis=1) / self._l
 
 
 class ReLU(Layer):
@@ -406,24 +424,33 @@ class LSTM(Layer):
                 f"{self.name}: expected [batch, len, {self.n_in}], got {x.shape}")
         bsz, t_len, _ = x.shape
         u = self.units
+        train = mode == "train"
         h = np.zeros((bsz, u), dtype=x.dtype)
         c = np.zeros((bsz, u), dtype=x.dtype)
-        hs = np.empty((t_len, bsz, u), dtype=x.dtype)
-        cs = np.empty((t_len, bsz, u), dtype=x.dtype)
-        gates = np.empty((t_len, bsz, 4 * u), dtype=x.dtype)
-        c_prev = np.empty((t_len, bsz, u), dtype=x.dtype)
+        # backward needs every step's state; an infer pass keeps the
+        # hidden states only when it returns them
+        hs = (np.empty((t_len, bsz, u), dtype=x.dtype)
+              if train or self.return_sequences else None)
+        if train:
+            cs = np.empty((t_len, bsz, u), dtype=x.dtype)
+            gates = np.empty((t_len, bsz, 4 * u), dtype=x.dtype)
+            c_prev = np.empty((t_len, bsz, u), dtype=x.dtype)
         for t in range(t_len):
             z = x[:, t] @ self.wx.value + h @ self.wh.value + self.b.value
             i = _sigmoid(z[:, :u])
             f = _sigmoid(z[:, u:2 * u])
             g = np.tanh(z[:, 2 * u:3 * u])
             o = _sigmoid(z[:, 3 * u:])
-            c_prev[t] = c
+            if train:
+                c_prev[t] = c
+                np.concatenate([i, f, g, o], axis=1, out=gates[t])
             c = f * c + i * g
             h = o * np.tanh(c)
-            gates[t] = np.concatenate([i, f, g, o], axis=1)
-            hs[t], cs[t] = h, c
-        self._cache = (x, hs, cs, gates, c_prev) if mode == "train" else None
+            if hs is not None:
+                hs[t] = h
+            if train:
+                cs[t] = c
+        self._cache = (x, hs, cs, gates, c_prev) if train else None
         if self.return_sequences:
             return hs.transpose(1, 0, 2)
         return h

@@ -1,5 +1,7 @@
 """Builders, shape propagation, UQ placement, config serialization."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,10 @@ from uqtsc.nncore import (LSTM, BatchNorm1D, Conv1D, Dense, GlobalAvgPool1D,
 
 
 def _forward_shapes(net, x):
-    """Layer-by-layer output shapes in infer mode."""
+    """Layer-by-layer output shapes in infer mode, from the [B, L, C] view
+    of the [B, C, L] input that Network.forward passes its first layer."""
     shapes = []
-    h = x
+    h = x.transpose(0, 2, 1)
     for layer in net.layers:
         h = layer.forward(h, mode="infer")
         shapes.append(h.shape)
@@ -27,8 +30,8 @@ def test_build_cnn_shape_chain():
     net = arch.build_network(cfg, n_channels=6, window_length=400)
     x = np.random.default_rng(0).normal(size=(2, 6, 400))
     shapes = _forward_shapes(net, x)
-    assert shapes[0] == (2, 16, 400)   # conv, same padding
-    assert shapes[3] == (2, 16, 200)   # maxpool 2
+    assert shapes[0] == (2, 400, 16)   # conv, same padding
+    assert shapes[3] == (2, 200, 16)   # maxpool 2
     assert shapes[4] == (2, 16)        # GAP
     assert shapes[5] == (2, 2)         # head
 
@@ -74,8 +77,8 @@ def test_build_cnn_lstm_row24_shapes():
     net = arch.build_network(cfg, 6, 1000)
     x = np.random.default_rng(2).normal(size=(2, 6, 1000))
     shapes = _forward_shapes(net, x)
-    assert shapes[0] == (2, 26, 1000)
-    assert shapes[3] == (2, 26, 500)
+    assert shapes[0] == (2, 1000, 26)
+    assert shapes[3] == (2, 500, 26)
     assert shapes[-2] == (2, 67)
     assert shapes[-1] == (2, 2)
 
@@ -150,7 +153,7 @@ def test_backward_skipping_first_dx_keeps_param_grads(family, method):
             d = np.ones_like(y)
             for layer in reversed(net.layers):
                 d = layer.backward(d)
-            assert d.shape == x.shape
+            assert d.shape == x.transpose(0, 2, 1).shape  # [B, L, C]
         else:
             net.backward(np.ones_like(y))
         grads.append([p.grad.tobytes() for p in net.params()])
@@ -330,7 +333,7 @@ def test_first_stochastic_positions():
     assert first(family="cnn", uq="dropconnect")[0] == 0
     assert first(family="cnn", uq="flipout") == (n - 1, n)
     # p = 0 still counts: the layer kind, not the rate, decides
-    assert first(family="lstm", uq="mc_dropout", dropout_rate=0.0)[0] == 2
+    assert first(family="lstm", uq="mc_dropout", dropout_rate=0.0)[0] == 1
 
 
 def _held_arrays(obj, seen=None):
@@ -486,3 +489,23 @@ def test_checkpoint_roundtrip_forward_equal(tmp_path, family, method):
     np.testing.assert_array_equal(loaded.forward(x, mode="infer"), expect)
     assert loaded.config.to_kv_line() == net.config.to_kv_line()
     assert loaded.config == net.config
+
+
+# ---------------------------------------------------------------------------
+# checkpoints written by the channels-first layers
+
+
+@pytest.mark.parametrize("family", ("cnn_lstm", "resnet"))
+def test_channels_first_checkpoints_load(family, monkeypatch):
+    """Float64 checkpoints and infer logits in tests/data were written by
+    the [batch, channels, length] layers (commit b41124e) from perturbed
+    weights and BN statistics, with FCN_FILTERS (8, 16, 8).  Params kept
+    their names and shapes, so this code loads them and gives the same
+    logits up to summation order."""
+    monkeypatch.setattr(arch, "FCN_FILTERS", (8, 16, 8))
+    data = Path(__file__).parent / "data"
+    net, _ = arch.load_network(data / f"compat_{family}.ckpt")
+    x = np.load(data / "compat_input.npy")
+    expect = np.load(data / f"compat_{family}_logits.npy")
+    got = net.forward(x, mode="infer")
+    np.testing.assert_allclose(got, expect, rtol=1e-9, atol=0)

@@ -19,23 +19,23 @@ def _layer_cases():
     rng = np.random.default_rng(0)
     return [
         ("dense", lambda: nn.Dense(5, 3, rng), (4, 5)),
-        ("conv_same", lambda: nn.Conv1D(3, 4, 3, rng), (4, 3, 9)),
+        ("conv_same", lambda: nn.Conv1D(3, 4, 3, rng), (4, 9, 3)),
         ("conv_valid", lambda: nn.Conv1D(3, 4, 3, rng, padding="valid"),
-         (4, 3, 9)),
-        ("bn_3d", lambda: nn.BatchNorm1D(3), (4, 3, 9)),
+         (4, 9, 3)),
+        ("bn_3d", lambda: nn.BatchNorm1D(3), (4, 9, 3)),
         ("bn_2d", lambda: nn.BatchNorm1D(5), (4, 5)),
-        ("maxpool", lambda: nn.MaxPool1D(2), (4, 3, 9)),
-        ("gap", lambda: nn.GlobalAvgPool1D(), (4, 3, 9)),
-        ("relu", lambda: nn.ReLU(), (4, 3, 9)),
+        ("maxpool", lambda: nn.MaxPool1D(2), (4, 9, 3)),
+        ("gap", lambda: nn.GlobalAvgPool1D(), (4, 9, 3)),
+        ("relu", lambda: nn.ReLU(), (4, 9, 3)),
         ("lstm_last", lambda: nn.LSTM(3, 4, rng), (4, 6, 3)),
         ("lstm_seq", lambda: nn.LSTM(3, 4, rng, return_sequences=True),
          (4, 6, 3)),
-        ("mc_dropout", lambda: uq.MCDropout(0.25), (4, 3, 9)),
+        ("mc_dropout", lambda: uq.MCDropout(0.25), (4, 9, 3)),
         ("dropconnect_dense",
          lambda: uq.DropConnectDense(nn.Dense(5, 3, rng), 0.25), (4, 5)),
         ("dropconnect_conv",
          lambda: uq.DropConnectConv1D(nn.Conv1D(3, 4, 3, rng), 0.25),
-         (4, 3, 9)),
+         (4, 9, 3)),
         ("flipout", lambda: uq.FlipoutDense(nn.Dense(5, 3, rng)), (4, 5)),
     ]
 
@@ -87,7 +87,7 @@ def test_network_keeps_dtype(family, method, dtype):
 
 def test_batchnorm_running_stats_keep_param_dtype():
     bn = nn.BatchNorm1D(3).astype(np.float32)
-    x = np.random.default_rng(4).normal(size=(4, 3, 9))  # float64 input
+    x = np.random.default_rng(4).normal(size=(4, 9, 3))  # float64 input
     bn.forward(x, mode="train")
     assert bn.running_mean.value.dtype == np.float32
     assert bn.running_var.value.dtype == np.float32

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqtsc import hpo
-from uqtsc.arch import InvalidConfig, ModelConfig
+from uqtsc.arch import InvalidConfig, ModelConfig, ShapeCollapse
+from uqtsc.nncore import KernelTooLarge
 
 TOY = hpo.ConfigSpace(
     "fcn", (hpo.ParamSpec("dropout_rate", 0.0, 0.5, integer=False),))
@@ -202,7 +203,7 @@ def test_halving_single_config_survives():
 def test_halving_failed_rank_last():
     def objective(cfg, budget, seed):
         if cfg.batch_size != 48:
-            raise RuntimeError("boom")
+            raise ShapeCollapse("boom")
         return hpo.TrialRecord(cfg, budget, 123.0)
 
     trials = hpo.successive_halving(
@@ -211,6 +212,27 @@ def test_halving_failed_rank_last():
     failed = [t for t in trials if t.status == "failed"]
     assert len(failed) == 2
     assert all(t.val_loss == hpo.FAILED_LOSS for t in failed)
+
+
+def test_halving_propagates_unexpected_errors():
+    """Only a config the network cannot take fails quietly; a bug in the
+    objective ends the search."""
+    def objective(cfg, budget, seed):
+        if cfg.batch_size != 48:
+            raise RuntimeError("boom")
+        return hpo.TrialRecord(cfg, budget, 123.0)
+
+    with pytest.raises(RuntimeError, match="boom"):
+        hpo.successive_halving(
+            [_cfg(48), _cfg(16)], [16, 50], objective, eta=3)
+
+
+def test_halving_kernel_too_large_fails_the_trial():
+    def objective(cfg, budget, seed):
+        raise KernelTooLarge("bad config")
+
+    trials = hpo.successive_halving([_cfg(24)], [16], objective)
+    assert [t.status for t in trials] == ["failed"]
 
 
 def test_halving_tie_break_by_insertion_order():

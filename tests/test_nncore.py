@@ -55,15 +55,15 @@ def test_conv1d_edge_detector_valid():
     layer = nn.Conv1D(1, 1, 3, RNG, padding="valid")
     layer.w.value = np.array([[[1.0, 0.0, -1.0]]])
     layer.b.value = np.zeros(1)
-    x = np.array([[[1.0, 2.0, 3.0, 4.0, 5.0]]])
-    np.testing.assert_allclose(layer.forward(x)[0, 0], [-2.0, -2.0, -2.0])
+    x = np.array([[[1.0, 2.0, 3.0, 4.0, 5.0]]]).transpose(0, 2, 1)
+    np.testing.assert_allclose(layer.forward(x)[0, :, 0], [-2.0, -2.0, -2.0])
 
 
 def test_conv1d_delta_kernel_same_is_identity():
     layer = nn.Conv1D(1, 1, 3, RNG, padding="same")
     layer.w.value = np.array([[[0.0, 1.0, 0.0]]])
     layer.b.value = np.zeros(1)
-    x = np.arange(8, dtype=float).reshape(1, 1, 8)
+    x = np.arange(8, dtype=float).reshape(1, 8, 1)
     np.testing.assert_allclose(layer.forward(x), x)
 
 
@@ -91,22 +91,22 @@ def test_conv1d_matches_loop_oracle(padding):
     rng = np.random.default_rng(11)
     layer = nn.Conv1D(2, 3, 4, rng, padding=padding)
     x = rng.normal(size=(2, 2, 10))
-    y = layer.forward(x)
+    y = layer.forward(x.transpose(0, 2, 1))
     expect = _conv_loop_oracle(x, layer.w.value, layer.b.value, padding)
-    np.testing.assert_allclose(y, expect, atol=1e-12)
+    np.testing.assert_allclose(y, expect.transpose(0, 2, 1), atol=1e-12)
 
 
 def test_conv1d_same_preserves_length():
     for k in range(4, 17):
         layer = nn.Conv1D(2, 1, k, RNG, padding="same")
-        y = layer.forward(np.ones((1, 2, 20)))
-        assert y.shape == (1, 1, 20)
+        y = layer.forward(np.ones((1, 20, 2)))
+        assert y.shape == (1, 20, 1)
 
 
 def test_conv1d_kernel_too_large():
     layer = nn.Conv1D(1, 1, 8, RNG, padding="valid")
     with pytest.raises(nn.KernelTooLarge):
-        layer.forward(np.ones((1, 1, 5)))
+        layer.forward(np.ones((1, 5, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +117,7 @@ def test_batchnorm_standard_batch_nearly_identity():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(64, 4, 10))
     x = (x - x.mean(axis=(0, 2), keepdims=True)) / x.std(axis=(0, 2), keepdims=True)
+    x = x.transpose(0, 2, 1)
     bn = nn.BatchNorm1D(4)
     y = bn.forward(x, mode="train")
     assert np.max(np.abs(y - x)) < 1e-4
@@ -158,50 +159,71 @@ def test_batchnorm_batch_too_small():
 
 def test_maxpool_hand_case():
     pool = nn.MaxPool1D(2)
-    y = pool.forward(np.array([[[1.0, 3.0, 2.0, 5.0]]]))
-    np.testing.assert_allclose(y, [[[3.0, 5.0]]])
+    y = pool.forward(np.array([[[1.0, 3.0, 2.0, 5.0]]]).transpose(0, 2, 1))
+    np.testing.assert_allclose(y, np.array([[[3.0, 5.0]]]).transpose(0, 2, 1))
 
 
 def test_maxpool_p1_identity():
     pool = nn.MaxPool1D(1)
-    x = np.arange(12, dtype=float).reshape(1, 2, 6)
+    x = np.arange(12, dtype=float).reshape(1, 2, 6).transpose(0, 2, 1)
     np.testing.assert_allclose(pool.forward(x), x)
 
 
 def test_maxpool_remainder_dropped():
     pool = nn.MaxPool1D(2)
-    y = pool.forward(np.arange(7, dtype=float).reshape(1, 1, 7))
-    assert y.shape == (1, 1, 3)
+    y = pool.forward(np.arange(7, dtype=float).reshape(1, 7, 1))
+    assert y.shape == (1, 3, 1)
 
 
-@pytest.mark.parametrize("p, shape", [(1, (3, 4, 6)), (2, (3, 4, 8)),
-                                      (3, (3, 4, 10)), (4, (3, 4, 19)),
-                                      (4, (8, 64, 402))])
+def _pool_oracle(x, p, dy):
+    """Train-mode max pool by argmax: output and input gradient."""
+    b, l, c = x.shape
+    n = l // p
+    xr = x[:, :n * p].reshape(b, n, p, c)
+    arg = xr.argmax(axis=2)[:, :, None]
+    y = np.take_along_axis(xr, arg, axis=2)[:, :, 0]
+    dxr = np.zeros((b, n, p, c), dtype=dy.dtype)
+    np.put_along_axis(dxr, arg, dy[:, :, None], axis=2)
+    dx = np.zeros_like(x)
+    dx[:, :n * p] = dxr.reshape(b, n * p, c)
+    return y, dx
+
+
+@pytest.mark.parametrize("p, shape", [(1, (3, 6, 4)), (2, (3, 8, 4)),
+                                      (3, (3, 10, 4)), (4, (3, 19, 4)),
+                                      (4, (8, 402, 64))])
 @pytest.mark.parametrize("dtype", (np.float32, np.float64))
 def test_maxpool_infer_bytes_equal_train(p, shape, dtype):
-    """The argmax-free inference max is the train-mode output, bit for bit:
-    integer values force ties, signed zeros tell tied elements apart, and
-    lengths not divisible by p drop a remainder."""
+    """Train-mode output and gradient are the argmax oracle's, bit for bit,
+    and the inference max is the train-mode output: integer values force
+    ties, signed zeros tell tied elements apart, and lengths not divisible
+    by p drop a remainder."""
     rng = np.random.default_rng(p)
     x = rng.integers(-2, 3, size=shape).astype(dtype)
     x[x == 0] = rng.choice((-0.0, 0.0), size=int(np.sum(x == 0)))
     pool = nn.MaxPool1D(p)
-    expect = pool.forward(x, mode="train").tobytes()
+    y = pool.forward(x, mode="train")
+    dy = rng.normal(size=y.shape).astype(dtype)
+    expect_y, expect_dx = _pool_oracle(x, p, dy)
+    assert y.tobytes() == expect_y.tobytes()
+    dx = pool.backward(dy)
+    assert dx.dtype == expect_dx.dtype
+    assert dx.tobytes() == expect_dx.tobytes()
     for mode in ("infer", "mc_infer"):
-        assert pool.forward(x, mode=mode).tobytes() == expect
+        assert pool.forward(x, mode=mode).tobytes() == expect_y.tobytes()
 
 
 def test_gap_constant_and_hand():
     gap = nn.GlobalAvgPool1D()
-    np.testing.assert_allclose(gap.forward(np.full((2, 3, 5), 4.0)), 4.0)
-    y = gap.forward(np.array([[[1.0, 2.0, 3.0]]]))
+    np.testing.assert_allclose(gap.forward(np.full((2, 5, 3), 4.0)), 4.0)
+    y = gap.forward(np.array([[[1.0, 2.0, 3.0]]]).transpose(0, 2, 1))
     assert y[0, 0] == pytest.approx(2.0)
 
 
 def test_gap_matches_loop_oracle():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(2, 3, 7))
-    y = nn.GlobalAvgPool1D().forward(x)
+    y = nn.GlobalAvgPool1D().forward(x.transpose(0, 2, 1))
     for b in range(2):
         for c in range(3):
             assert abs(y[b, c] - sum(x[b, c]) / 7) < 1e-12
@@ -261,6 +283,18 @@ def test_lstm_return_sequences_last_matches():
     last = b.forward(x)
     assert seq.shape == (2, 6, 4)
     np.testing.assert_allclose(seq[:, -1, :], last, atol=1e-14)
+
+
+@pytest.mark.parametrize("return_sequences", (False, True))
+def test_lstm_infer_bytes_equal_train(return_sequences):
+    """Inference skips the backward bookkeeping; its output is unchanged."""
+    rng = np.random.default_rng(12)
+    layer = nn.LSTM(3, 5, rng, return_sequences=return_sequences)
+    x = rng.normal(size=(4, 7, 3))
+    expect = layer.forward(x, mode="train").tobytes()
+    for mode in ("infer", "mc_infer"):
+        assert layer.forward(x, mode=mode).tobytes() == expect
+        assert layer._cache is None
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +434,13 @@ def test_checkpoint_rejects_truncation(tmp_path):
 def test_no_nan_inf_for_finite_inputs():
     rng = np.random.default_rng(10)
     for _ in range(10):
-        x = rng.normal(scale=10.0, size=(4, 6, 32))
+        x = rng.normal(scale=10.0, size=(4, 32, 6))
         conv = nn.Conv1D(6, 16, 9, rng)
         bn = nn.BatchNorm1D(16)
         y = bn.forward(nn.ReLU().forward(conv.forward(x)), mode="train")
         y = nn.MaxPool1D(4).forward(y)
         lstm = nn.LSTM(16, 8, rng)
-        h = lstm.forward(y.transpose(0, 2, 1))
+        h = lstm.forward(y)
         head = nn.Dense(8, 2, rng)
         loss, probs = nn.softmax_cross_entropy(head.forward(h),
                                                rng.integers(0, 2, 4))

@@ -153,7 +153,7 @@ def test_dropconnect_conv_p0_matches_conv():
     rng = np.random.default_rng(9)
     base = Conv1D(2, 3, 4, rng)
     dc = uq.DropConnectConv1D(base, 0.0)
-    x = rng.normal(size=(2, 2, 10))
+    x = rng.normal(size=(2, 10, 2))
     np.testing.assert_allclose(dc.forward(x, mode="train", rng=rng),
                                base.forward(x), atol=1e-12)
 
