@@ -359,6 +359,144 @@ def test_report_scatter_point_count(mini, tmp_path):
 # rerun
 
 
+# The exact run_config.txt of each command variant.  Arguments are split on
+# spaces; {mini} stands for the shared fixture root and {tmp} for the test's
+# own directory, which is also the working directory, so relative paths
+# show which values are resolved and which are written as given.
+RUN_CONFIG_CASES = {
+    "generate_flags": (
+        "generate --n-logs 2 --seed 11 --duration-s 6.0 --class-balance 0.25"
+        " --out {tmp}/out/",
+        "command = generate\n"
+        "n_logs = 2\n"
+        "seed = 11\n"
+        "duration_s = 6.0\n"
+        "class_balance = 0.25\n"
+        "out = {tmp}/out\n"),
+    "generate_spec": (
+        "generate --spec gen.txt --seed 9 --out out",
+        "command = generate\n"
+        "n_logs = 2\n"
+        "seed = 9\n"
+        "duration_s = 5.0\n"
+        "class_balance = 0.5\n"
+        "out = out\n"),
+    "prepare_window": (
+        "prepare --manifest {mini}/logs/manifest.txt --window 64x32"
+        " --channels imu --seed 5 --out out",
+        "command = prepare\n"
+        "manifest = {mini}/logs/manifest.txt\n"
+        "window = 64x32\n"
+        "channels = imu\n"
+        "test_fraction = 0.3\n"
+        "val_fraction = 0.2\n"
+        "speed_threshold = 0.05\n"
+        "min_gap = 1.0\n"
+        "seed = 5\n"
+        "out = out\n"),
+    "prepare_subsample": (
+        "prepare --manifest {mini}/logs/manifest.txt --subsample 4"
+        " --target-length 32 --out out",
+        "command = prepare\n"
+        "manifest = {mini}/logs/manifest.txt\n"
+        "subsample = 4\n"
+        "target_length = 32\n"
+        "channels = fused\n"
+        "test_fraction = 0.3\n"
+        "val_fraction = 0.2\n"
+        "speed_threshold = 0.05\n"
+        "min_gap = 1.0\n"
+        "seed = 0\n"
+        "out = out\n"),
+    "prepare_window_target_length": (
+        "prepare --manifest {mini}/logs/manifest.txt --window 100x50"
+        " --target-length 50 --test-fraction 0.25 --min-gap 0.5 --out out",
+        "command = prepare\n"
+        "manifest = {mini}/logs/manifest.txt\n"
+        "window = 100x50\n"
+        "channels = fused\n"
+        "test_fraction = 0.25\n"
+        "val_fraction = 0.2\n"
+        "speed_threshold = 0.05\n"
+        "min_gap = 0.5\n"
+        "seed = 0\n"
+        "out = out\n"),
+    "train_float32": (
+        "train --data {mini}/prep --config {mini}/model.txt --epochs 1"
+        " --seed 3 --float32 --out out",
+        "command = train\n"
+        "data = {mini}/prep\n"
+        "config = {mini}/model.txt\n"
+        "epochs = 1\n"
+        "seed = 3\n"
+        "float32 = true\n"
+        "out = out\n"),
+    "train_float64": (
+        "train --data {mini}/prep --config {mini}/model.txt --epochs 1"
+        " --out out",
+        "command = train\n"
+        "data = {mini}/prep\n"
+        "config = {mini}/model.txt\n"
+        "epochs = 1\n"
+        "seed = 0\n"
+        "float32 = false\n"
+        "out = out\n"),
+    "search": (
+        "search --data {mini}/prep --iterations 1 --min-budget 1"
+        " --max-budget 2 --eta 2 --no-float32 --random-fraction 0.5"
+        " --seed 1 --out out",
+        "command = search\n"
+        "data = {mini}/prep\n"
+        "family = cnn\n"
+        "uq = none\n"
+        "iterations = 1\n"
+        "min_budget = 1\n"
+        "max_budget = 2\n"
+        "eta = 2\n"
+        "random_fraction = 0.5\n"
+        "workers = 1\n"
+        "seed = 1\n"
+        "float32 = false\n"
+        "out = out\n"),
+    "evaluate": (
+        "evaluate --checkpoint {mini}/trained/checkpoint.txt --data"
+        " {mini}/prep --split val --samples 2 --bins 5 --seed 2 --out out",
+        "command = evaluate\n"
+        "checkpoint = {mini}/trained/checkpoint.txt\n"
+        "data = {mini}/prep\n"
+        "split = val\n"
+        "samples = 2\n"
+        "bins = 5\n"
+        "seed = 2\n"
+        "out = out\n"),
+    "select": (
+        "select a.csv b.csv --out out",
+        "command = select\n"
+        "reports = {tmp}/a.csv,{tmp}/b.csv\n"
+        "out = out\n"),
+    "report": (
+        "report {mini}/evald/report.csv --out out",
+        "command = report\n"
+        "reports = {mini}/evald/report.csv\n"
+        "out = out\n"),
+}
+
+
+@pytest.mark.parametrize("case", RUN_CONFIG_CASES)
+def test_run_config_bytes(case, mini, tmp_path, monkeypatch):
+    argv, expected = RUN_CONFIG_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gen.txt").write_text("n_logs = 2\nseed = 4\n"
+                                      "duration_s = 5.0\n")
+    _handmade_report(tmp_path / "a.csv", 0.95, 0.95, 0.3, 0.05)
+    _handmade_report(tmp_path / "b.csv", 0.85, 0.95, 0.02, 0.05)
+    assert run(*argv.format(mini=mini, tmp=tmp_path).split()) == 0
+    text = (tmp_path / "out" / cli.RUN_CONFIG_NAME).read_text()
+    for root, name in ((mini, "{mini}"), (tmp_path, "{tmp}")):
+        text = text.replace(str(root.resolve()), name)
+    assert text == expected
+
+
 def test_rerun_prepare_byte_identical(mini, tmp_path):
     out = tmp_path / "prep2"
     assert run("rerun", mini / "prep" / "run_config.txt", "--out", out) == 0
