@@ -2,7 +2,8 @@
 
 Runs the whole pipeline through the CLI entry points so every stage writes
 its run_config.txt and can be replayed with `uqtsc rerun`.  Prints per-stage
-wall time and the incumbent's held-out metrics.
+wall time and the incumbent's held-out metrics.  `stages` is the one
+definition of the pipeline; the acceptance tests run it with the defaults.
 
 Usage:
     python scripts/run_benchmark.py --out /tmp/bench [--iterations 4]
@@ -29,7 +30,7 @@ def stage(argv: list[str]) -> float:
     return dt
 
 
-def main() -> None:
+def parse_args(argv=None) -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="benchmark output root")
     ap.add_argument("--iterations", type=int, default=4)
@@ -39,29 +40,38 @@ def main() -> None:
     ap.add_argument("--channels", default="imu")
     ap.add_argument("--samples", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
+    return ap.parse_args(argv)
 
+
+def stages(args: argparse.Namespace) -> list[list[str]]:
+    """The `uqtsc` argv of every pipeline stage, in the order they run."""
     root = Path(args.out)
     seed = str(args.seed)
-    total = 0.0
-    total += stage(["generate", "--out", str(root / "raw")])
-    total += stage(["prepare", "--manifest", str(root / "raw" / "manifest.txt"),
-                    "--window", args.window, "--channels", args.channels,
-                    "--seed", seed, "--out", str(root / "data")])
-    total += stage(["search", "--data", str(root / "data"),
-                    "--family", args.family, "--uq", args.uq,
-                    "--iterations", str(args.iterations), "--seed", seed,
-                    "--out", str(root / "search")])
-    total += stage(["evaluate", "--checkpoint",
-                    str(root / "search" / "incumbent.txt"),
-                    "--data", str(root / "data"), "--split", "test",
-                    "--samples", str(args.samples), "--seed", seed,
-                    "--out", str(root / "eval")])
-    report_path = root / "eval" / "report.csv"
-    total += stage(["select", str(report_path), "--out", str(root / "select")])
-    total += stage(["report", str(report_path), "--out", str(root / "plots")])
+    report = str(root / "eval" / "report.csv")
+    return [
+        ["generate", "--out", str(root / "raw")],
+        ["prepare", "--manifest", str(root / "raw" / "manifest.txt"),
+         "--window", args.window, "--channels", args.channels,
+         "--seed", seed, "--out", str(root / "data")],
+        ["search", "--data", str(root / "data"),
+         "--family", args.family, "--uq", args.uq,
+         "--iterations", str(args.iterations), "--seed", seed,
+         "--out", str(root / "search")],
+        ["evaluate", "--checkpoint", str(root / "search" / "incumbent.txt"),
+         "--data", str(root / "data"), "--split", "test",
+         "--samples", str(args.samples), "--seed", seed,
+         "--out", str(root / "eval")],
+        ["select", report, "--out", str(root / "select")],
+        ["report", report, "--out", str(root / "plots")],
+    ]
 
-    rep = read_report_csv(report_path)
+
+def main() -> None:
+    args = parse_args()
+    root = Path(args.out)
+    total = sum(stage(argv) for argv in stages(args))
+
+    rep = read_report_csv(root / "eval" / "report.csv")
     print(f"total {total:.1f} s")
     print(f"incumbent on test: wF1={rep.f1_weighted:.4f} "
           f"ECE={rep.ece:.4f} mean entropy={rep.mean_entropy:.4f} "

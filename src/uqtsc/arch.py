@@ -76,26 +76,28 @@ class ModelConfig:
     KV_KEYS = ("family", "uq", "cnn_blocks", "f1", "f2", "f3", "k1", "k2",
                "k3", "max_pool", "lstm_layers", "u1", "u2", "u3",
                "batch_size", "dropout_rate")
+    # (lo, hi) of every numeric field, also the search space (hpo); int
+    # bounds mark an integer field
+    RANGES = {
+        "cnn_blocks": (1, 3),
+        "f1": (16, 128), "f2": (16, 128), "f3": (16, 128),
+        "k1": (4, 16), "k2": (4, 16), "k3": (4, 16),
+        "max_pool": (2, 8), "lstm_layers": (1, 3),
+        "u1": (8, 128), "u2": (8, 128), "u3": (8, 128),
+        "batch_size": (16, 64), "dropout_rate": (0.0, 0.5),
+    }
 
     def validate(self):
         if self.family not in FAMILIES:
             raise InvalidConfig(f"unknown family {self.family!r}")
         if self.uq not in UQ_METHODS:
             raise InvalidConfig(f"unknown uq method {self.uq!r}")
-        ranges = {
-            "cnn_blocks": (1, 3), "max_pool": (2, 8), "lstm_layers": (1, 3),
-            "batch_size": (16, 64),
-            "f1": (16, 128), "f2": (16, 128), "f3": (16, 128),
-            "k1": (4, 16), "k2": (4, 16), "k3": (4, 16),
-            "u1": (8, 128), "u2": (8, 128), "u3": (8, 128),
-        }
-        for key, (lo, hi) in ranges.items():
+        for key, (lo, hi) in self.RANGES.items():
             v = getattr(self, key)
-            if not (isinstance(v, (int, np.integer)) and lo <= v <= hi):
+            wrong_type = isinstance(lo, int) and not isinstance(
+                v, (int, np.integer))
+            if wrong_type or not lo <= v <= hi:
                 raise InvalidConfig(f"{key}={v!r} outside [{lo}, {hi}]")
-        if not (0.0 <= self.dropout_rate <= 0.5):
-            raise InvalidConfig(
-                f"dropout_rate={self.dropout_rate} outside [0, 0.5]")
 
     def filters(self) -> list[int]:
         return [self.f1, self.f2, self.f3][: self.cnn_blocks]

@@ -26,6 +26,8 @@ RUN_CONFIG_NAME = "run_config.txt"
 GEN_DEFAULTS = {"n_logs": 20, "seed": 7, "duration_s": 30.0,
                 "class_balance": 0.5}
 
+_PATH_KEYS = ("manifest", "data", "config", "checkpoint", "reports")
+
 _COMMAND_KEYS = {
     "generate": ("n_logs", "seed", "duration_s", "class_balance", "out"),
     "prepare": ("manifest", "window", "subsample", "target_length",
@@ -71,19 +73,25 @@ def _read_kv(path) -> dict:
     return out
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _write_run_config(out_dir: Path, args):
+    """Record every option of args.command that is set (not None).
 
-
-def _write_run_config(out_dir: Path, command: str, settings: dict):
-    lines = [f"command = {command}"]
-    for key in _COMMAND_KEYS[command]:
-        if key in settings:
-            lines.append(f"{key} = {settings[key]}")
+    Input paths are resolved, so a rerun finds them from any directory;
+    `out` is written as given.
+    """
+    lines = [f"command = {args.command}"]
+    for key in _COMMAND_KEYS[args.command]:
+        val = out_dir if key == "out" else getattr(args, key)
+        if val is None:
+            continue
+        if key in _PATH_KEYS:
+            paths = val if isinstance(val, list) else [val]
+            val = ",".join(str(Path(p).resolve()) for p in paths)
+        elif key == "window":
+            val = f"{val[0]}x{val[1]}"
+        elif isinstance(val, bool):
+            val = "true" if val else "false"
+        lines.append(f"{key} = {val}")
     (out_dir / RUN_CONFIG_NAME).write_text("\n".join(lines) + "\n",
                                            encoding="utf-8")
 
@@ -147,15 +155,12 @@ def _read_spec_file(path) -> dict:
 
 def cmd_generate(args):
     spec_vals = _read_spec_file(args.spec) if args.spec else {}
-    resolved = {}
     for key, default in GEN_DEFAULTS.items():
-        flag = getattr(args, key)
-        resolved[key] = flag if flag is not None else spec_vals.get(key,
-                                                                    default)
+        if getattr(args, key) is None:
+            setattr(args, key, spec_vals.get(key, default))
     suite = data.default_synth_suite(
-        n_logs=resolved["n_logs"], seed=resolved["seed"],
-        duration_s=resolved["duration_s"],
-        class_balance=resolved["class_balance"])
+        n_logs=args.n_logs, seed=args.seed, duration_s=args.duration_s,
+        class_balance=args.class_balance)
     out = _out_dir(args)
     paths = []
     for spec in suite:
@@ -164,9 +169,7 @@ def cmd_generate(args):
         data.write_log_csv(log, p)
         paths.append(p)
     data.write_manifest(paths, out / "manifest.txt")
-    settings = {k: _fmt(resolved[k]) for k in GEN_DEFAULTS}
-    settings["out"] = str(out)
-    _write_run_config(out, "generate", settings)
+    _write_run_config(out, args)
     print(f"generate: {len(paths)} logs -> {out}")
 
 
@@ -194,6 +197,8 @@ def _concat(parts, split_tag: str):
 def cmd_prepare(args):
     if (args.window is None) == (args.subsample is None):
         raise CliError("exactly one of --window or --subsample is required")
+    if args.window is not None:
+        args.target_length = None  # unused, so not recorded
     paths = data.read_manifest(args.manifest)
     if not paths:
         raise data.EmptyDataset(f"{args.manifest}: manifest lists no logs")
@@ -227,20 +232,7 @@ def cmd_prepare(args):
     data.save_stats(stats, out / "stats.csv")
     (out / "summary.txt").write_text("\n".join(summary) + "\n",
                                      encoding="utf-8")
-
-    settings = {"manifest": str(Path(args.manifest).resolve()),
-                "channels": args.channels,
-                "test_fraction": _fmt(args.test_fraction),
-                "val_fraction": _fmt(args.val_fraction),
-                "speed_threshold": _fmt(args.speed_threshold),
-                "min_gap": _fmt(args.min_gap),
-                "seed": str(args.seed), "out": str(out)}
-    if args.window is not None:
-        settings["window"] = f"{args.window[0]}x{args.window[1]}"
-    else:
-        settings["subsample"] = str(args.subsample)
-        settings["target_length"] = str(args.target_length)
-    _write_run_config(out, "prepare", settings)
+    _write_run_config(out, args)
     counts = {n: len(datasets[n]) for n in datasets}
     print(f"prepare: windows {counts} -> {out}")
 
@@ -263,11 +255,7 @@ def cmd_train(args):
     out = _out_dir(args)
     training.write_training_log(hist, out / "training_log.csv")
     arch.save_network(net, out / "checkpoint.txt")
-    settings = {"data": str(Path(args.data).resolve()),
-                "config": str(Path(args.config).resolve()),
-                "epochs": str(args.epochs), "seed": str(args.seed),
-                "float32": _fmt(args.float32), "out": str(out)}
-    _write_run_config(out, "train", settings)
+    _write_run_config(out, args)
     last = hist[-1]
     print(f"train: {args.epochs} epochs, final val_loss {last.val_loss:.4f} "
           f"val_wF1 {last.val_wf1:.4f} -> {out}")
@@ -330,15 +318,7 @@ def cmd_search(args):
             pool.shutdown()
     out = _out_dir(args)
     hpo.write_trials_csv(trials, out / "trials.csv")
-    settings = {"data": str(Path(args.data).resolve()),
-                "family": args.family, "uq": args.uq,
-                "iterations": str(args.iterations),
-                "min_budget": str(args.min_budget),
-                "max_budget": str(args.max_budget), "eta": str(args.eta),
-                "random_fraction": _fmt(args.random_fraction),
-                "workers": str(args.workers), "seed": str(args.seed),
-                "float32": _fmt(args.float32), "out": str(out)}
-    _write_run_config(out, "search", settings)
+    _write_run_config(out, args)
     if incumbent is None or objective.best_net is None:
         raise CliError("search produced no successful full-budget trial; "
                        "see trials.csv")
@@ -370,11 +350,7 @@ def cmd_evaluate(args):
               "samples": str(args.samples)})
     out = _out_dir(args)
     metrics.write_report_csv(report, out / "report.csv")
-    settings = {"checkpoint": str(Path(args.checkpoint).resolve()),
-                "data": str(Path(args.data).resolve()), "split": args.split,
-                "samples": str(args.samples), "bins": str(args.bins),
-                "seed": str(args.seed), "out": str(out)}
-    _write_run_config(out, "evaluate", settings)
+    _write_run_config(out, args)
     print(f"evaluate: n={len(report)} wF1 {report.f1_weighted:.4f} "
           f"ECE {report.ece:.4f} entropy {report.mean_entropy:.4f} -> {out}")
 
@@ -406,10 +382,7 @@ def cmd_select(args):
     out = _out_dir(args)
     (out / "selection.csv").write_text("\n".join(lines) + "\n",
                                        encoding="utf-8")
-    settings = {"reports": ",".join(str(Path(p).resolve())
-                                    for p in args.reports),
-                "out": str(out)}
-    _write_run_config(out, "select", settings)
+    _write_run_config(out, args)
     print(f"select: {len(selected)}/{len(reports)} selected -> {out}")
 
 
@@ -443,10 +416,7 @@ def cmd_report(args):
                      f"{r.f1_cl1!r},{r.f1_weighted!r},{r.accuracy!r}")
     (out / "summary.csv").write_text("\n".join(lines) + "\n",
                                      encoding="utf-8")
-    settings = {"reports": ",".join(str(Path(p).resolve())
-                                    for p in args.reports),
-                "out": str(out)}
-    _write_run_config(out, "report", settings)
+    _write_run_config(out, args)
     print(f"report: 4 SVGs + summary for {len(reports)} reports -> {out}")
 
 

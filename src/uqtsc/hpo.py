@@ -1,8 +1,7 @@
 """BOHB: Hyperband budget scheduling married to a KDE configuration model.
 
-The search space mirrors the architecture config ranges (blocks 1-3,
-filters 16-128, kernels 4-16, pool 2-8, cells 8-128, batch 16-64,
-dropout 0-0.5) with conditional activity: f_i/k_i exist only when
+The search space is the architecture config ranges
+(`ModelConfig.RANGES`) with conditional activity: f_i/k_i exist only when
 cnn_blocks >= i, u_i only when lstm_layers >= i.
 
 Proposals come from factorized univariate Gaussian KDEs fit separately
@@ -24,7 +23,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .arch import ModelConfig, ShapeCollapse
-from .nncore.layers import KernelTooLarge
 
 BANDWIDTH_FACTOR = 3.0
 TOP_FRACTION = 0.15
@@ -36,9 +34,6 @@ RANDOM_FRACTION = 1.0 / 3.0
 # escape while still localizing each dim to a few percent of its range.
 MIN_BANDWIDTH = 0.03
 FAILED_LOSS = float("inf")
-# what a valid but unworkable config raises: its trial is recorded as
-# failed; any other exception is a bug and ends the search
-_CONFIG_ERRORS = (ShapeCollapse, KernelTooLarge)
 
 TRIAL_CSV_FIXED = ("trial_id", "bracket", "rung", "budget_epochs", "status",
                    "val_loss", "val_wF1")
@@ -110,22 +105,24 @@ def model_space(family: str, uq: str = "none") -> ConfigSpace:
     hyperparameters; their topology is not searched.
     """
     params: list[ParamSpec] = []
+
+    def add(name, parent=None, threshold=0):
+        lo, hi = ModelConfig.RANGES[name]
+        params.append(ParamSpec(name, lo, hi, integer=isinstance(lo, int),
+                                parent=parent, threshold=threshold))
+
     if family in ("cnn", "cnn_lstm"):
-        params.append(ParamSpec("cnn_blocks", 1, 3))
-        for i in (1, 2, 3):
-            params.append(ParamSpec(f"f{i}", 16, 128,
-                                    parent="cnn_blocks", threshold=i))
-        for i in (1, 2, 3):
-            params.append(ParamSpec(f"k{i}", 4, 16,
-                                    parent="cnn_blocks", threshold=i))
-        params.append(ParamSpec("max_pool", 2, 8))
+        add("cnn_blocks")
+        for prefix in ("f", "k"):
+            for i in (1, 2, 3):
+                add(f"{prefix}{i}", "cnn_blocks", i)
+        add("max_pool")
     if family in ("lstm", "cnn_lstm"):
-        params.append(ParamSpec("lstm_layers", 1, 3))
+        add("lstm_layers")
         for i in (1, 2, 3):
-            params.append(ParamSpec(f"u{i}", 8, 128,
-                                    parent="lstm_layers", threshold=i))
-    params.append(ParamSpec("batch_size", 16, 64))
-    params.append(ParamSpec("dropout_rate", 0.0, 0.5, integer=False))
+            add(f"u{i}", "lstm_layers", i)
+    add("batch_size")
+    add("dropout_rate")
     return ConfigSpace(family, tuple(params), uq)
 
 
@@ -290,7 +287,9 @@ class TrialRecord:
 def _evaluate(objective, config, budget, seed, trial_id, bracket, rung):
     try:
         rec = objective(config, budget, seed)
-    except _CONFIG_ERRORS:
+    except ShapeCollapse:
+        # a valid config the data cannot take fails its trial; any other
+        # exception is a bug and ends the search
         rec = TrialRecord(config, budget, FAILED_LOSS, status="failed")
     if rec.status == "ok" and not math.isfinite(rec.val_loss):
         rec = replace(rec, val_loss=FAILED_LOSS, status="failed")

@@ -6,8 +6,7 @@ before a network's first stochastic one are deterministic in mc_infer
 mode, so pass 0 holds their output per chunk and passes 1..M-1 start
 from it, but only where it takes no more bytes than the chunk itself.
 ECE bins by max-probability confidence into K equal-width right-inclusive
-bins by default; a positive-class binary variant bins by P(class 1)
-instead.  Candidate selection requires both per-class F1 scores at or
+bins.  Candidate selection requires both per-class F1 scores at or
 above 0.9 and mean entropy at or below 0.1, boundaries inclusive.
 """
 
@@ -24,6 +23,9 @@ F1_THRESHOLD = 0.9
 ENTROPY_THRESHOLD = 0.1
 DEFAULT_M = 10
 DEFAULT_BINS = 10
+# windows per inference forward call (here and in training.evaluate);
+# keeps the conv window-view buffer small on wide configs
+EVAL_BATCH = 64
 
 OUTCOMES = ("TP", "TN", "FP", "FN")
 
@@ -68,8 +70,8 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
-                         rng: np.random.Generator | None = None,
-                         batch_size: int = 64) -> PredictiveDistribution:
+                         rng: np.random.Generator | None = None
+                         ) -> PredictiveDistribution:
     """Mean over m stochastic forward passes (mode mc_infer).
 
     Passes run pass-outer, chunk-inner, so the rng draws come in the order
@@ -97,8 +99,8 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
             held[-1] = h
 
     for j in range(m):
-        for c, lo in enumerate(range(0, n, batch_size)):
-            chunk = x[lo:lo + batch_size]
+        for c, lo in enumerate(range(0, n, EVAL_BATCH)):
+            chunk = x[lo:lo + EVAL_BATCH]
             if j == 0:
                 held.append(None)  # no prefix to hold when start is 0
                 logits = net.forward(chunk, mode="mc_infer", rng=rng,
@@ -134,7 +136,7 @@ class BinRow:
     index: int
     count: int
     e_i: float  # mean confidence in the bin
-    o_i: float  # empirical accuracy (or positive fraction) in the bin
+    o_i: float  # empirical accuracy in the bin
 
 
 def _bin_index(conf: np.ndarray, k: int) -> np.ndarray:
@@ -144,20 +146,15 @@ def _bin_index(conf: np.ndarray, k: int) -> np.ndarray:
 
 
 def calibration_table(mean_probs: np.ndarray, labels: np.ndarray,
-                      k: int = DEFAULT_BINS,
-                      positive_class: bool = False) -> list[BinRow]:
+                      k: int = DEFAULT_BINS) -> list[BinRow]:
     mean_probs = np.asarray(mean_probs, dtype=np.float64)
     labels = np.asarray(labels)
     if mean_probs.size == 0:
         raise EmptyInput("no samples to calibrate")
     if k < 1:
         raise ValueError("need at least one bin")
-    if positive_class:
-        conf = mean_probs[:, 1]
-        hit = (labels == 1).astype(np.float64)
-    else:
-        conf = mean_probs.max(axis=1)
-        hit = (mean_probs.argmax(axis=1) == labels).astype(np.float64)
+    conf = mean_probs.max(axis=1)
+    hit = (mean_probs.argmax(axis=1) == labels).astype(np.float64)
     idx = _bin_index(conf, k)
     rows = []
     for i in range(k):
@@ -177,11 +174,10 @@ def _ece_from_bins(rows: list[BinRow]) -> float:
                      if r.count))
 
 
-def ece(mean_probs: np.ndarray, labels: np.ndarray, k: int = DEFAULT_BINS,
-        positive_class: bool = False) -> float:
+def ece(mean_probs: np.ndarray, labels: np.ndarray,
+        k: int = DEFAULT_BINS) -> float:
     """Expected calibration error: sum of P(i) * |o_i - e_i| over bins."""
-    return _ece_from_bins(
-        calibration_table(mean_probs, labels, k, positive_class))
+    return _ece_from_bins(calibration_table(mean_probs, labels, k))
 
 
 @dataclass
@@ -259,8 +255,8 @@ class EvalReport:
 
 
 def build_report(dist: PredictiveDistribution, labels: np.ndarray,
-                 k: int = DEFAULT_BINS, positive_class: bool = False,
-                 tag: str = "", meta: dict | None = None) -> EvalReport:
+                 k: int = DEFAULT_BINS, tag: str = "",
+                 meta: dict | None = None) -> EvalReport:
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) != dist.mean_probs.shape[0]:
         raise ValueError("labels do not match distribution size")
@@ -269,7 +265,7 @@ def build_report(dist: PredictiveDistribution, labels: np.ndarray,
     ent = predictive_entropy(dist.mean_probs)
     preds = dist.predicted_class
     f1 = f1_and_accuracy(preds, labels)
-    bins = calibration_table(dist.mean_probs, labels, k, positive_class)
+    bins = calibration_table(dist.mean_probs, labels, k)
     return EvalReport(
         mean_probs=dist.mean_probs, entropy=np.atleast_1d(ent),
         labels=labels, preds=preds,

@@ -13,7 +13,6 @@ from .layers import (
     Conv1D,
     Dense,
     GlobalAvgPool1D,
-    KernelTooLarge,
     LabelOutOfRange,
     Layer,
     LSTM,
@@ -31,7 +30,7 @@ from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 __all__ = [
     "Adam", "BatchNorm1D", "BatchTooSmall", "CheckpointError", "Conv1D",
     "Dense", "GlobalAvgPool1D", "GRAD_CHECKED_KINDS",
-    "KernelTooLarge", "LSTM", "LabelOutOfRange", "Layer", "MaxPool1D",
+    "LSTM", "LabelOutOfRange", "Layer", "MaxPool1D",
     "Param", "ReLU", "ShapeMismatch", "grad_check", "read_checkpoint",
     "softmax_cross_entropy", "softmax_cross_entropy_backward",
     "write_checkpoint",

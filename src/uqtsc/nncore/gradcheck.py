@@ -34,9 +34,7 @@ class LayerSpec:
 GRAD_CHECKED_KINDS = [
     LayerSpec("dense", {"batch": 2, "n_in": 3, "n_out": 2}),
     LayerSpec("conv1d", {"batch": 2, "n_in": 2, "filters": 3, "kernel": 4,
-                         "length": 12, "padding": "same"}),
-    LayerSpec("conv1d", {"batch": 2, "n_in": 2, "filters": 3, "kernel": 4,
-                         "length": 12, "padding": "valid"}),
+                         "length": 12}),
     LayerSpec("batchnorm1d", {"batch": 4, "n_ch": 3, "length": 6}),
     LayerSpec("batchnorm1d", {"batch": 5, "n_ch": 4, "length": 0}),  # [B,F]
     LayerSpec("maxpool1d", {"batch": 2, "n_ch": 3, "length": 13, "pool": 3}),
@@ -68,7 +66,7 @@ _KINDS = {
               lambda s, rng: L.Dense(s["n_in"], s["n_out"], rng)),
     "conv1d": (lambda s: (s["batch"], s["length"], s["n_in"]),
                lambda s, rng: L.Conv1D(s["n_in"], s["filters"], s["kernel"],
-                                       rng, padding=s.get("padding", "same"))),
+                                       rng)),
     # length 0 means a [B,F] input
     "batchnorm1d": (lambda s: _seq_shape(s) if s.get("length", 0)
                     else (s["batch"], s["n_ch"]), _batchnorm),

@@ -26,10 +26,6 @@ class ShapeMismatch(Exception):
     pass
 
 
-class KernelTooLarge(Exception):
-    pass
-
-
 class BatchTooSmall(Exception):
     pass
 
@@ -150,7 +146,7 @@ def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
 
 
 class Conv1D(Layer):
-    """Cross-correlation over [batch, length, channels] with bias.
+    """Same-padded cross-correlation over [batch, length, channels] with bias.
 
     Implemented as one GEMM of the im2col matrix of the padded input
     against the [k*C, F] weight matrix, whose output is already
@@ -158,13 +154,9 @@ class Conv1D(Layer):
     """
 
     def __init__(self, n_in: int, filters: int, kernel: int,
-                 rng: np.random.Generator, padding: str = "same",
-                 name: str = "conv"):
-        if padding not in ("same", "valid"):
-            raise ValueError(f"unknown padding {padding!r}")
+                 rng: np.random.Generator, name: str = "conv"):
         self.name = name
         self.n_in, self.filters, self.kernel = n_in, filters, kernel
-        self.padding = padding
         fan_in = n_in * kernel
         self.w = Param(f"{name}_w",
                        _fan_in_uniform(rng, (filters, n_in, kernel), fan_in))
@@ -186,13 +178,7 @@ class Conv1D(Layer):
             raise ShapeMismatch(
                 f"{self.name}: expected [batch, len, {self.n_in}], got {x.shape}")
         k = self.kernel
-        if self.padding == "same":
-            xp, left, right = pad_same(x, k)
-        else:
-            xp, left, right = x, 0, 0
-        if k > xp.shape[1]:
-            raise KernelTooLarge(
-                f"{self.name}: kernel {k} exceeds padded length {xp.shape[1]}")
+        xp, left, right = pad_same(x, k)
         xp = np.ascontiguousarray(xp)
         # [F, C, k] -> [k*C, F], rows in im2col column order; the cast
         # keeps the GEMM and its output in the input precision

@@ -6,13 +6,13 @@ import numpy as np
 
 from .layers import Param, ShapeMismatch
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
-    def __init__(self, params: list[Param], lr: float = 0.01,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Param], lr: float = 0.01):
         self.params = [p for p in params if p.trainable]
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]
@@ -23,7 +23,7 @@ class Adam:
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for p, m, v in zip(self.params, self._m, self._v):
@@ -37,4 +37,4 @@ class Adam:
             v += (1.0 - b2) * g * g
             mhat = m / bc1
             vhat = v / bc2
-            p.value -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.value -= self.lr * mhat / (np.sqrt(vhat) + EPS)

@@ -19,8 +19,6 @@ from .nncore.layers import (softmax_cross_entropy,
 from .nncore.optim import Adam
 
 LEARNING_RATE = 0.01
-# keeps the conv window-view buffer small on wide configs
-EVAL_BATCH = 64
 _STREAM_TAG = 0x7E41
 
 
@@ -44,14 +42,15 @@ def _batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
     return [idx for idx in out if idx.size >= 2]
 
 
-def evaluate(net: Network, x: np.ndarray, y: np.ndarray,
-             batch_size: int = EVAL_BATCH) -> tuple[float, float]:
+def evaluate(net: Network, x: np.ndarray,
+             y: np.ndarray) -> tuple[float, float]:
     """Inference-mode mean CE loss and weighted F1."""
     if len(x) == 0:
         raise EmptyTrainingSet("cannot evaluate on an empty set")
     losses, preds = [], []
-    for i in range(0, len(x), batch_size):
-        xb, yb = x[i:i + batch_size], y[i:i + batch_size]
+    step = metrics.EVAL_BATCH
+    for i in range(0, len(x), step):
+        xb, yb = x[i:i + step], y[i:i + step]
         loss, probs = softmax_cross_entropy(net.forward(xb, mode="infer"), yb)
         losses.append(loss * len(xb))
         preds.append(np.argmax(probs, axis=1))
@@ -61,7 +60,6 @@ def evaluate(net: Network, x: np.ndarray, y: np.ndarray,
 
 def train_network(net: Network, x_train, y_train, x_val, y_val,
                   epochs: int, seed: int, *,
-                  learning_rate: float = LEARNING_RATE,
                   dtype=None) -> list[EpochStats]:
     """Optimize in place; returns per-epoch stats (train/val loss, wF1)."""
     if len(x_train) < 2:
@@ -71,7 +69,7 @@ def train_network(net: Network, x_train, y_train, x_val, y_val,
         x_train = x_train.astype(dtype)
         x_val = x_val.astype(dtype)
     rng = np.random.default_rng(np.random.SeedSequence((seed, _STREAM_TAG)))
-    opt = Adam(net.params(), lr=learning_rate)
+    opt = Adam(net.params(), lr=LEARNING_RATE)
     flip = [l for l in net.layers if isinstance(l, uq.FlipoutDense)]
 
     history = []

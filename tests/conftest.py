@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,12 +10,22 @@ from uqtsc import data
 def pytest_collection_modifyitems(items):
     """Run the tests that share the end-to-end pipeline fixture last.
 
-    That one pipeline run (generate -> prepare -> search -> evaluate) takes
+    That one pipeline run (scripts/run_benchmark.py's stages) takes
     minutes and every other test takes seconds, so a run that is cut short
     still reports every fast test.  The sort is stable: the order within
     each group is the collection order.
     """
     items.sort(key=lambda item: "bench" in getattr(item, "fixturenames", ()))
+
+
+def load_file(relpath: str):
+    """Import a repository file that is not part of the package, such as
+    a script or the benchmark's tracer, as a module."""
+    path = Path(__file__).resolve().parents[1] / relpath
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 @pytest.fixture(scope="session")

@@ -2,9 +2,10 @@
 
 Run with plain `pytest`; the verdict lines bypass capture so they show up
 in any log.  Checks 7 and 8 share one full pipeline run (generate ->
-prepare -> search -> evaluate) that takes many minutes, so conftest.py
-runs them after every other test of the suite; everything else is
-seconds.
+prepare -> search -> evaluate -> select -> report, as
+scripts/run_benchmark.py defines it) that takes many minutes, so
+conftest.py runs them after every other test of the suite; everything
+else is seconds.
 """
 
 import math
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from conftest import load_file
 from uqtsc import cli, data, hpo, metrics, uq
 from uqtsc.metrics import read_report_csv
 from uqtsc.nncore import GRAD_CHECKED_KINDS, grad_check
@@ -228,20 +230,9 @@ def test_c06_bohb_beats_random(capsys):
 @pytest.fixture(scope="module")
 def bench(tmp_path_factory):
     root = tmp_path_factory.mktemp("bench")
+    script = load_file("scripts/run_benchmark.py")
     t0 = time.perf_counter()
-    stages = [
-        ["generate", "--out", str(root / "raw")],
-        ["prepare", "--manifest", str(root / "raw" / "manifest.txt"),
-         "--window", "400x100", "--channels", "imu", "--seed", "0",
-         "--out", str(root / "data")],
-        ["search", "--data", str(root / "data"), "--family", "cnn",
-         "--uq", "mc_dropout", "--iterations", "4", "--seed", "0",
-         "--out", str(root / "search")],
-        ["evaluate", "--checkpoint", str(root / "search" / "incumbent.txt"),
-         "--data", str(root / "data"), "--split", "test", "--samples", "10",
-         "--seed", "0", "--out", str(root / "eval")],
-    ]
-    for argv in stages:
+    for argv in script.stages(script.parse_args(["--out", str(root)])):
         assert cli.main(argv) == 0, f"stage {argv[0]} failed"
     elapsed = time.perf_counter() - t0
     report = read_report_csv(root / "eval" / "report.csv")

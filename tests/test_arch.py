@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import load_file
 from uqtsc import arch, cli, uq
 from uqtsc.nncore import (LSTM, BatchNorm1D, Conv1D, Dense, GlobalAvgPool1D,
                           Layer, MaxPool1D)
@@ -300,13 +301,7 @@ def test_all_family_method_pairs_construct(family, method):
 
 def _layertrace():
     """The benchmark's tracer, whose prefix timing reads _is_stochastic."""
-    import importlib.util
-    from pathlib import Path
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
-    spec = importlib.util.spec_from_file_location("layertrace", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+    return load_file("perfbench/layertrace.py")
 
 
 @pytest.mark.parametrize("blocks", (1, 3))

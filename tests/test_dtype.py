@@ -20,8 +20,6 @@ def _layer_cases():
     return [
         ("dense", lambda: nn.Dense(5, 3, rng), (4, 5)),
         ("conv_same", lambda: nn.Conv1D(3, 4, 3, rng), (4, 9, 3)),
-        ("conv_valid", lambda: nn.Conv1D(3, 4, 3, rng, padding="valid"),
-         (4, 9, 3)),
         ("bn_3d", lambda: nn.BatchNorm1D(3), (4, 9, 3)),
         ("bn_2d", lambda: nn.BatchNorm1D(5), (4, 5)),
         ("maxpool", lambda: nn.MaxPool1D(2), (4, 9, 3)),

@@ -22,8 +22,7 @@ def test_dense_tight_tolerance():
 
 def test_conv1d_tight_tolerance():
     err = grad_check(LayerSpec("conv1d", {"batch": 2, "n_in": 2, "filters": 3,
-                                          "kernel": 4, "length": 12,
-                                          "padding": "same"}))
+                                          "kernel": 4, "length": 12}))
     assert err < 1e-6
 
 

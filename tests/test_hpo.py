@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from uqtsc import hpo
 from uqtsc.arch import InvalidConfig, ModelConfig, ShapeCollapse
-from uqtsc.nncore import KernelTooLarge
 
 TOY = hpo.ConfigSpace(
     "fcn", (hpo.ParamSpec("dropout_rate", 0.0, 0.5, integer=False),))
@@ -225,14 +224,6 @@ def test_halving_propagates_unexpected_errors():
     with pytest.raises(RuntimeError, match="boom"):
         hpo.successive_halving(
             [_cfg(48), _cfg(16)], [16, 50], objective, eta=3)
-
-
-def test_halving_kernel_too_large_fails_the_trial():
-    def objective(cfg, budget, seed):
-        raise KernelTooLarge("bad config")
-
-    trials = hpo.successive_halving([_cfg(24)], [16], objective)
-    assert [t.status for t in trials] == ["failed"]
 
 
 def test_halving_tie_break_by_insertion_order():

@@ -243,15 +243,6 @@ def test_ece_bin_edges_right_inclusive():
     np.testing.assert_array_equal(idx, [1, 2, 0, 3])
 
 
-def test_ece_positive_class_mode():
-    probs = np.array([[0.2, 0.8], [0.9, 0.1], [0.4, 0.6], [0.7, 0.3]])
-    labels = np.array([1, 0, 0, 1])
-    got = metrics.ece(probs, labels, k=2, positive_class=True)
-    # bin 1 (0,0.5]: p1 {0.1, 0.3}, positives {0, 1}; bin 2 (0.5,1]: {0.8, 0.6}, {1, 0}
-    expect = 0.5 * abs(0.5 - 0.2) + 0.5 * abs(0.5 - 0.7)
-    assert got == pytest.approx(expect, abs=1e-12)
-
-
 def test_ece_empty_rejected():
     with pytest.raises(metrics.EmptyInput):
         metrics.ece(np.zeros((0, 2)), np.zeros(0))

@@ -51,28 +51,19 @@ def test_dense_shape_mismatch():
 # conv1d
 
 
-def test_conv1d_edge_detector_valid():
-    layer = nn.Conv1D(1, 1, 3, RNG, padding="valid")
-    layer.w.value = np.array([[[1.0, 0.0, -1.0]]])
-    layer.b.value = np.zeros(1)
-    x = np.array([[[1.0, 2.0, 3.0, 4.0, 5.0]]]).transpose(0, 2, 1)
-    np.testing.assert_allclose(layer.forward(x)[0, :, 0], [-2.0, -2.0, -2.0])
-
-
 def test_conv1d_delta_kernel_same_is_identity():
-    layer = nn.Conv1D(1, 1, 3, RNG, padding="same")
+    layer = nn.Conv1D(1, 1, 3, RNG)
     layer.w.value = np.array([[[0.0, 1.0, 0.0]]])
     layer.b.value = np.zeros(1)
     x = np.arange(8, dtype=float).reshape(1, 8, 1)
     np.testing.assert_allclose(layer.forward(x), x)
 
 
-def _conv_loop_oracle(x, w, b, padding):
+def _conv_loop_oracle(x, w, b):
     bsz, cin, length = x.shape
     f, _, k = w.shape
-    if padding == "same":
-        left = (k - 1) // 2
-        x = np.pad(x, ((0, 0), (0, 0), (left, k - 1 - left)))
+    left = (k - 1) // 2
+    x = np.pad(x, ((0, 0), (0, 0), (left, k - 1 - left)))
     lout = x.shape[2] - k + 1
     y = np.zeros((bsz, f, lout))
     for n in range(bsz):
@@ -86,27 +77,20 @@ def _conv_loop_oracle(x, w, b, padding):
     return y
 
 
-@pytest.mark.parametrize("padding", ["same", "valid"])
-def test_conv1d_matches_loop_oracle(padding):
+def test_conv1d_matches_loop_oracle():
     rng = np.random.default_rng(11)
-    layer = nn.Conv1D(2, 3, 4, rng, padding=padding)
+    layer = nn.Conv1D(2, 3, 4, rng)
     x = rng.normal(size=(2, 2, 10))
     y = layer.forward(x.transpose(0, 2, 1))
-    expect = _conv_loop_oracle(x, layer.w.value, layer.b.value, padding)
+    expect = _conv_loop_oracle(x, layer.w.value, layer.b.value)
     np.testing.assert_allclose(y, expect.transpose(0, 2, 1), atol=1e-12)
 
 
 def test_conv1d_same_preserves_length():
     for k in range(4, 17):
-        layer = nn.Conv1D(2, 1, k, RNG, padding="same")
+        layer = nn.Conv1D(2, 1, k, RNG)
         y = layer.forward(np.ones((1, 20, 2)))
         assert y.shape == (1, 20, 1)
-
-
-def test_conv1d_kernel_too_large():
-    layer = nn.Conv1D(1, 1, 8, RNG, padding="valid")
-    with pytest.raises(nn.KernelTooLarge):
-        layer.forward(np.ones((1, 5, 1)))
 
 
 # ---------------------------------------------------------------------------
