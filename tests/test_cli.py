@@ -1,5 +1,6 @@
 """Command pipeline on a miniature synthetic corpus."""
 
+import hashlib
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -67,6 +68,27 @@ def test_generate_deterministic(tmp_path):
     assert run("generate", *GEN_ARGS, "--out", b) == 0
     for name in ["manifest.txt"] + [f"synthlog{k:03d}.csv" for k in range(6)]:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+# SHA-256 of every file `generate --n-logs 2 --duration-s 6 --seed 3` writes
+# except run_config.txt: the log format and the generator's stream, pinned.
+GENERATE_SHA256 = {
+    "manifest.txt":
+        "fce8c35e946b8fe4e9a85718c62fd8a60e8db8d79be6ace7e69d0258c80619d8",
+    "synthlog000.csv":
+        "e31aa1b3d355524dae01d37805ea8f2fb4cfd2e3aa31371587fb2ef94714ac43",
+    "synthlog001.csv":
+        "4d93e216f66bf5fb10c59b1b45cd0e4f37552edddaf58e4b8a0828b47ce45c42",
+}
+
+
+def test_generate_bytes_pinned(tmp_path):
+    out = tmp_path / "g"
+    assert run("generate", "--n-logs", "2", "--duration-s", "6",
+               "--seed", "3", "--out", out) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in out.iterdir() if p.name != cli.RUN_CONFIG_NAME}
+    assert got == GENERATE_SHA256
 
 
 def test_generate_spec_file_and_zero_duration(tmp_path):
@@ -401,6 +423,19 @@ RUN_CONFIG_CASES = {
         "manifest = {mini}/logs/manifest.txt\n"
         "subsample = 4\n"
         "target_length = 32\n"
+        "channels = fused\n"
+        "test_fraction = 0.3\n"
+        "val_fraction = 0.2\n"
+        "speed_threshold = 0.05\n"
+        "min_gap = 1.0\n"
+        "seed = 0\n"
+        "out = out\n"),
+    "prepare_subsample_default_target": (
+        "prepare --manifest {mini}/logs/manifest.txt --subsample 4 --out out",
+        "command = prepare\n"
+        "manifest = {mini}/logs/manifest.txt\n"
+        "subsample = 4\n"
+        "target_length = 125\n"
         "channels = fused\n"
         "test_fraction = 0.3\n"
         "val_fraction = 0.2\n"

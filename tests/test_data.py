@@ -1,8 +1,10 @@
 """Data pipeline tests: ingestion, trimming, windowing, splits, synthesis."""
 
+import csv
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from uqtsc import data
@@ -21,8 +23,8 @@ def test_load_log_roundtrip_imu_only(tmp_path):
     back = data.load_log(path)
     assert back.length == 3
     assert back.channel_groups.count("imu") == 6
-    np.testing.assert_allclose(back.values, log.values)
-    np.testing.assert_array_equal(back.labels, log.labels)
+    assert np.array_equal(back.values, log.values)
+    assert np.array_equal(back.labels, log.labels)
 
 
 def test_load_log_roundtrip_fused(tmp_path, small_log):
@@ -31,7 +33,32 @@ def test_load_log_roundtrip_fused(tmp_path, small_log):
     back = data.load_log(path)
     assert back.channel_names == small_log.channel_names
     assert len(back.channel_names) == 18
-    np.testing.assert_allclose(back.values, small_log.values)
+    assert np.array_equal(back.values, small_log.values)
+    assert np.array_equal(back.labels, small_log.labels)
+
+
+def test_write_log_csv_exact_text(tmp_path):
+    """The log format is the shortest round-trip text (repr) of each value."""
+    rows = [
+        [-0.0, 1e-05, 1e16, 0.1 + 0.2, 5e-324, 9.81],
+        [1.0, -2.5, 0.001, 1e22, -1e-300, 100.0],
+        [0.1, 2.0 ** 0.5, -123456.789, 1e-07, 7.0, -0.0],
+        [float("inf"), 12345678901234567.0, 1.5e-10, -1.0, 0.5, 3.0],
+    ]
+    log = data.TimeSeriesLog(
+        log_id="pin", sample_rate_hz=3.0, channel_names=data.IMU_CHANNELS,
+        channel_groups=("imu",) * 6, values=np.array(rows).T,
+        labels=np.array([0, 1, 1, 0]))
+    path = tmp_path / "pin.csv"
+    data.write_log_csv(log, path)
+    assert path.read_bytes() == (
+        b"t,acc_x,acc_y,acc_z,gyr_x,gyr_y,gyr_z,label\n"
+        b"0.0,-0.0,1e-05,1e+16,0.30000000000000004,5e-324,9.81,0\n"
+        b"0.333333333,1.0,-2.5,0.001,1e+22,-1e-300,100.0,1\n"
+        b"0.666666667,0.1,1.4142135623730951,-123456.789,1e-07,7.0,-0.0,1\n"
+        b"1.0,inf,1.2345678901234568e+16,1.5e-10,-1.0,0.5,3.0,0\n")
+    back = data.load_log(path)
+    assert back.values.tobytes() == log.values.tobytes()
 
 
 def test_load_log_header_only(tmp_path):
@@ -66,6 +93,86 @@ def test_load_log_non_numeric(tmp_path):
         data.load_log(path)
     assert exc.value.line == 2
     assert exc.value.column == "acc_y"
+
+
+def _reference_parse(path):
+    """Per-cell csv + float() parse of a log body, errors included."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    header = [h.strip() for h in rows[0]]
+    body = rows[1:]
+    out = np.empty((len(body), len(header)))
+    for r, row in enumerate(body):
+        line = r + 2
+        if len(row) != len(header):
+            raise data.RaggedRow(line)
+        for c, cell in enumerate(row):
+            try:
+                out[r, c] = float(cell)
+            except ValueError:
+                raise data.NonNumericValue(line, header[c]) from None
+    return out
+
+
+_CELL_FORMS = (repr, "{:.3e}".format, "{:g}".format, " {!r} ".format)
+_DEFECTS = ("none", "blank_line", "short_row", "long_row", "quoted",
+            "underscore", "non_numeric", "trailing_comma", "trailing_commas")
+
+
+@st.composite
+def _log_texts(draw):
+    """A log CSV with at most one defect, and one line-end convention."""
+    n = draw(st.integers(2, 6))
+    cells = []
+    for i in range(n):
+        vals = draw(st.lists(st.floats(width=64), min_size=6, max_size=6))
+        forms = draw(st.lists(st.sampled_from(_CELL_FORMS),
+                              min_size=6, max_size=6))
+        label = draw(st.sampled_from(("0", "1", "1.0", "0e0")))
+        cells.append([repr(round(i * 0.01, 9)),
+                      *(f(v) for f, v in zip(forms, vals)), label])
+    defect = draw(st.sampled_from(_DEFECTS))
+    r = draw(st.integers(0, n - 1))
+    c = draw(st.integers(1, 6))  # a channel cell, so the later checks hold
+    if defect == "short_row":
+        cells[r] = cells[r][:-1]
+    elif defect == "long_row":
+        cells[r] = cells[r] + ["0.5"]
+    elif defect == "quoted":
+        cells[r][c] = f'"{cells[r][c]}"'
+    elif defect == "underscore":
+        cells[r][c] = "1_0"
+    elif defect == "non_numeric":
+        cells[r][c] = "oops"
+    elif defect == "trailing_comma":
+        cells[r] = cells[r] + [""]
+    elif defect == "trailing_commas":
+        cells = [row + [""] for row in cells]
+    lines = [",".join(row) for row in cells]
+    if defect == "blank_line":
+        lines.insert(max(r, 1), "")
+    header = "t," + ",".join(data.IMU_CHANNELS) + ",label"
+    newline = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    return newline.join([header, *lines]) + newline
+
+
+@given(text=_log_texts())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_load_log_matches_reference_parser(tmp_path, text):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = _reference_parse(path)
+    except (data.RaggedRow, data.NonNumericValue) as exc:
+        with pytest.raises(type(exc)) as got:
+            data.load_log(path)
+        assert got.value.line == exc.line
+        assert getattr(got.value, "column", None) == getattr(exc, "column", None)
+        return
+    back = data.load_log(path)
+    assert back.values.tobytes() == expected[:, 1:-1].T.tobytes()
+    assert back.labels.tobytes() == expected[:, -1].astype(np.int64).tobytes()
 
 
 def test_manifest_roundtrip(tmp_path):
