@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -242,10 +243,12 @@ def load_log(path: str | Path) -> TimeSeriesLog:
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+        lines = fh.readlines()
+    rows = csv.reader(lines)
+    first = next(rows, None)
+    if first is None:
         raise EmptyLog(f"{path} is empty")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in first]
     for schema in (_expected_headers(True), _expected_headers(False)):
         if header == schema:
             break
@@ -259,21 +262,24 @@ def load_log(path: str | Path) -> TimeSeriesLog:
             raise MissingColumn(f"{path}: incomplete joint group, missing {absent}")
         raise MissingColumn(f"{path}: header does not match the log schema")
 
-    body = rows[1:]
+    body = lines[rows.line_num:]
     if not body:
         raise EmptyLog(f"{path} has a header but no data rows")
 
+    # One vectorised parse of the common case.  loadtxt skips blank lines
+    # and rejects quoted cells and `1_0`, so any file it does not map line
+    # for line onto rows of ncol floats goes through the per-cell csv parse,
+    # which names the offending line and column.
     ncol = len(header)
-    data = np.empty((len(body), ncol), dtype=np.float64)
-    for r, row in enumerate(body):
-        line = r + 2  # 1-based, after the header
-        if len(row) != ncol:
-            raise RaggedRow(line)
-        for c, cell in enumerate(row):
-            try:
-                data[r, c] = float(cell)
-            except ValueError:
-                raise NonNumericValue(line, header[c]) from None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an all-blank body warns
+            data = np.loadtxt(body, delimiter=",", comments=None,
+                              dtype=np.float64, ndmin=2)
+    except ValueError:
+        data = None
+    if data is None or data.shape != (len(body), ncol):
+        data = _parse_rows(rows, header)
 
     t = data[:, 0]
     if np.any(np.diff(t) <= 0):
@@ -296,17 +302,37 @@ def load_log(path: str | Path) -> TimeSeriesLog:
     )
 
 
+def _parse_rows(rows, header: list[str]) -> np.ndarray:
+    """Parse csv rows cell by cell with float(), naming the first bad cell."""
+    body = list(rows)
+    ncol = len(header)
+    data = np.empty((len(body), ncol), dtype=np.float64)
+    for r, row in enumerate(body):
+        line = r + 2  # 1-based, after the header
+        if len(row) != ncol:
+            raise RaggedRow(line)
+        for c, cell in enumerate(row):
+            try:
+                data[r, c] = float(cell)
+            except ValueError:
+                raise NonNumericValue(line, header[c]) from None
+    return data
+
+
 def write_log_csv(log: TimeSeriesLog, path: str | Path):
-    """Write a log in the canonical CSV schema (deterministic bytes)."""
-    path = Path(path)
+    """Write a log in the canonical CSV schema (deterministic bytes).
+
+    Every value is written as its repr, the shortest text that parses back
+    to the same float.
+    """
+    dt = 1.0 / log.sample_rate_hz
+    out = [",".join(["t", *log.channel_names, "label"]) + "\n"]
+    for i, (vals, label) in enumerate(zip(log.values.T.tolist(),
+                                          log.labels.tolist())):
+        out.append(f"{round(i * dt, 9)!r},{','.join(map(repr, vals))},"
+                   f"{label}\n")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(["t", *log.channel_names, "label"]) + "\n")
-        dt = 1.0 / log.sample_rate_hz
-        for i in range(log.length):
-            cells = [repr(round(i * dt, 9))]
-            cells += [repr(float(v)) for v in log.values[:, i]]
-            cells.append(str(int(log.labels[i])))
-            fh.write(",".join(cells) + "\n")
+        fh.write("".join(out))
 
 
 def read_manifest(path: str | Path) -> list[Path]:
@@ -541,12 +567,12 @@ def select_channels(obj: TimeSeriesLog | SequenceDataset, mode: str):
 
 def _ar1(rng: np.random.Generator, n: int, coeff: float, noise_std: float) -> np.ndarray:
     eps = rng.normal(0.0, noise_std, size=n)
-    out = np.empty(n)
+    out = []
     state = 0.0
-    for i in range(n):
-        state = coeff * state + eps[i]
-        out[i] = state
-    return out
+    for e in eps.tolist():  # Python floats: the same IEEE ops, less overhead
+        state = coeff * state + e
+        out.append(state)
+    return np.array(out)
 
 
 def _segment_bounds(spec: SynthSpec) -> list[tuple[int, int, int]]:
