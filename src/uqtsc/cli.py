@@ -197,8 +197,10 @@ def _concat(parts, split_tag: str):
 def cmd_prepare(args):
     if (args.window is None) == (args.subsample is None):
         raise CliError("exactly one of --window or --subsample is required")
-    if args.window is not None:
-        args.target_length = None  # unused, so not recorded
+    if args.subsample is None and args.target_length is not None:
+        raise CliError("--target-length needs --subsample")
+    if args.subsample is not None and args.target_length is None:
+        args.target_length = 125
     paths = data.read_manifest(args.manifest)
     if not paths:
         raise data.EmptyDataset(f"{args.manifest}: manifest lists no logs")
@@ -467,8 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="sliding window as WxS, e.g. 400x100")
     pr.add_argument("--subsample", type=int,
                     help="decimation factor (alternative to --window)")
-    pr.add_argument("--target-length", type=int, default=125,
-                    dest="target_length")
+    pr.add_argument("--target-length", type=int, dest="target_length",
+                    help="samples per decimated window (default 125; "
+                         "needs --subsample)")
     pr.add_argument("--channels", choices=("imu", "joints", "fused"),
                     default="fused")
     pr.add_argument("--test-fraction", type=float, default=0.3,

@@ -438,7 +438,7 @@ def slide_windows(log: TimeSeriesLog, w: int, s: int) -> SequenceDataset:
     )
 
 
-def subsample(log: TimeSeriesLog, f: int, target_length: int = 125) -> SequenceDataset:
+def subsample(log: TimeSeriesLog, f: int, target_length: int) -> SequenceDataset:
     """Decimate into f phase-shifted streams and cut non-overlapping windows.
 
     Phase k keeps original indices k, k+f, k+2f, ...; each stream is cut

@@ -10,7 +10,7 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    def __init__(self, params: list[Param], lr: float = 0.01):
+    def __init__(self, params: list[Param], lr: float):
         self.params = [p for p in params if p.trainable]
         self.lr = lr
         self.t = 0

@@ -149,6 +149,14 @@ def test_prepare_requires_one_windowing_mode(mini, tmp_path):
                "--subsample", "4", "--out", tmp_path / "y") == 1
 
 
+def test_prepare_target_length_needs_subsample(mini, tmp_path, capsys):
+    manifest = mini / "logs" / "manifest.txt"
+    assert run("prepare", "--manifest", manifest, "--window", "100x50",
+               "--target-length", "50", "--out", tmp_path / "x") == 1
+    assert "--target-length needs --subsample" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -443,9 +451,9 @@ RUN_CONFIG_CASES = {
         "min_gap = 1.0\n"
         "seed = 0\n"
         "out = out\n"),
-    "prepare_window_target_length": (
+    "prepare_window_gap": (
         "prepare --manifest {mini}/logs/manifest.txt --window 100x50"
-        " --target-length 50 --test-fraction 0.25 --min-gap 0.5 --out out",
+        " --test-fraction 0.25 --min-gap 0.5 --out out",
         "command = prepare\n"
         "manifest = {mini}/logs/manifest.txt\n"
         "window = 100x50\n"

@@ -10,6 +10,7 @@ import pytest
 from uqtsc import arch, uq
 from uqtsc import nncore as nn
 from uqtsc.nncore.optim import Adam
+from uqtsc.training import LEARNING_RATE
 
 DTYPES = (np.float32, np.float64)
 
@@ -71,7 +72,7 @@ def test_network_keeps_dtype(family, method, dtype):
     net = _net(family, method).astype(dtype)
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 6, 32)).astype(dtype)
-    opt = Adam(net.params())
+    opt = Adam(net.params(), lr=LEARNING_RATE)
     y = net.forward(x, mode="train", rng=rng)
     assert y.dtype == dtype
     net.backward(np.ones_like(y))
