@@ -117,6 +117,51 @@ def test_posterior_float32_net_normalized(method):
     assert dist.samples.tobytes() == expect.tobytes()
 
 
+def _mt19937(seed):
+    return np.random.Generator(np.random.MT19937(seed))
+
+
+def _pcg64_holding_uint32(seed):
+    """A PCG64 generator with a buffered 32-bit half in its state."""
+    rng = np.random.default_rng(seed)
+    rng.integers(2 ** 32, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
+
+
+def _three_block_mcd_cnn():
+    """Dropout after conv blocks 1 and 2 only; block 3 has none."""
+    cfg = arch.ModelConfig(family="cnn", uq="mc_dropout", cnn_blocks=3,
+                           f1=16, f2=24, f3=20, k1=4, k2=5, k3=6,
+                           max_pool=2, dropout_rate=0.25)
+    return arch.build_network(cfg, 6, 32, seed=3)
+
+
+@pytest.mark.parametrize("net_of, n, m, rng_of", [
+    *[(lambda: _family_net("cnn", "mc_dropout"), n, 3, np.random.default_rng)
+      for n in (1, 15, 16, 17, 64, 65)],
+    (lambda: _family_net("cnn", "mc_dropout"), 65, 1, np.random.default_rng),
+    (_three_block_mcd_cnn, 150, 3, np.random.default_rng),
+    (lambda: _family_net("cnn_lstm", "mc_dropout"), 81, 2,
+     np.random.default_rng),
+    (lambda: _family_net("cnn", "mc_dropout"), 150, 3, _mt19937),
+    (lambda: _family_net("cnn", "mc_dropout"), 70, 2, _pcg64_holding_uint32),
+], ids=["n1", "n15", "n16", "n17", "n64", "n65", "m1", "three_blocks",
+        "cnn_lstm", "mt19937", "pcg64_uint32"])
+def test_posterior_edge_cases_equal_plain_loop(net_of, n, m, rng_of):
+    """Byte-equal samples, and the rng left where the plain loop leaves it:
+    the next 32-bit draw (buffered or not) and the next double agree."""
+    net = net_of()
+    x = np.random.default_rng(26).normal(size=(n, 6, 32))
+    rng_a, rng_b = rng_of(27), rng_of(27)
+    dist = metrics.predictive_posterior(net, x, m=m, rng=rng_a)
+    expect = _plain_samples(net, x, m, rng_b)
+    assert dist.samples.tobytes() == expect.tobytes()
+    for draw in (lambda r: r.integers(2 ** 32, dtype=np.uint32),
+                 lambda r: r.random()):
+        assert draw(rng_a) == draw(rng_b)
+
+
 def test_posterior_memory_peak_not_above_plain_loop():
     """conv1's output is 10.7x its input, so it is recomputed, not held.
 

@@ -137,6 +137,31 @@ def test_batchnorm_batch_too_small():
         bn.forward(np.array([[1.0]]), mode="train")
 
 
+@pytest.mark.parametrize("shape", ((3, 7, 5), (4, 5)))
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+def test_batchnorm_infer_bytes_pinned(dtype, shape):
+    """Outside train the output byte-equals the two-buffer formula: xhat,
+    then y = xhat * gamma + beta in a second buffer."""
+    rng = np.random.default_rng(12)
+    bn = nn.BatchNorm1D(5)
+    bn.gamma.value = rng.normal(size=5)
+    bn.beta.value = rng.normal(size=5)
+    bn.running_mean.value = rng.normal(size=5)
+    bn.running_var.value = rng.uniform(0.2, 3.0, size=5)
+    bn.astype(dtype)
+    x = rng.normal(size=shape).astype(dtype)
+    rows = x.reshape(len(x), -1)
+    reps = rows.shape[1] // 5
+    xhat = rows - np.tile(bn.running_mean.value, reps)
+    xhat *= np.tile(1.0 / np.sqrt(bn.running_var.value + bn.EPS), reps)
+    y = xhat * np.tile(bn.gamma.value, reps)
+    y += np.tile(bn.beta.value, reps)
+    for mode in ("infer", "mc_infer"):
+        out = bn.forward(x, mode=mode)
+        assert out.dtype == dtype
+        assert out.tobytes() == y.reshape(x.shape).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # pooling
 

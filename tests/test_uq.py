@@ -69,6 +69,25 @@ def test_dropout_stochastic_in_mc_infer():
     assert not np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+def test_dropout_mc_infer_bytes_pinned(dtype):
+    """mc_infer output byte-equals the draw, compare, divide and multiply
+    formula, on signed zeros, infinities, nan and a subnormal too, and
+    leaves the rng where that one draw does."""
+    specials = (-0.0, 0.0, np.inf, -np.inf, np.nan,
+                np.finfo(dtype).smallest_subnormal)
+    v = np.random.default_rng(8).normal(size=(5, 7, 3)).astype(dtype)
+    v.flat[:48] = np.tile(specials, 8)
+    keep = 1.0 - 0.3
+    rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+    y = uq.MCDropout(0.3).forward(v, mode="mc_infer", rng=rng_a)
+    expect = v * np.divide(rng_b.random(v.shape) < keep, keep,
+                           dtype=v.dtype)
+    assert y.dtype == dtype
+    assert y.tobytes() == expect.tobytes()
+    assert rng_a.random() == rng_b.random()
+
+
 def test_dropout_backward_uses_same_mask():
     layer = uq.MCDropout(0.5)
     x = np.ones((3, 4))
