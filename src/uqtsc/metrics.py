@@ -3,21 +3,30 @@
 The posterior over classes is the mean of M stochastic forward passes;
 entropy is computed on that mean distribution (natural log).  The layers
 before a network's first stochastic one are deterministic in mc_infer
-mode, so pass 0 holds their output per chunk and passes 1..M-1 start
-from it, but only where it takes no more bytes than the chunk itself.
-ECE bins by max-probability confidence into K equal-width right-inclusive
+mode, so pass 0 holds their output and passes 1..M-1 start from it.
+Networks whose stochastic layers are all MC dropout run chunk-outer:
+each 16-window sub-chunk holds its prefix (conv1's output, say) for all
+M passes, and each mask is drawn at its offset in the pass-outer rng
+stream by PCG64 jump-ahead, so the samples are those of M plain passes
+wherever the BLAS rounds a GEMM row the same at any row count.  Every
+other network (Flipout, whose normal and choice draws do not take a
+fixed count of rng steps, and DropConnect) runs pass-outer and holds a
+chunk's prefix only where it takes no more bytes than the chunk.  ECE
+bins by max-probability confidence into K equal-width right-inclusive
 bins.  Candidate selection requires both per-class F1 scores at or
 above 0.9 and mean entropy at or below 0.1, boundaries inclusive.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .arch import Network
+from .uq import MCDropout
 
 F1_THRESHOLD = 0.9
 ENTROPY_THRESHOLD = 0.1
@@ -26,6 +35,15 @@ DEFAULT_BINS = 10
 # windows per inference forward call (here and in training.evaluate);
 # keeps the conv window-view buffer small on wide configs
 EVAL_BATCH = 64
+# windows per sub-chunk of a chunk-outer posterior, counted from the
+# chunk's start.  Its samples equal the pass-outer ones where the BLAS
+# rounds each GEMM row the same at the sub-chunk's and the chunk's row
+# count.  A multiple of the kernels' row blocking keeps that for most
+# shapes: on OpenBLAS 0.3.31 sub-chunks of 2, 5 or 6 windows move the
+# head Dense by 1 ulp, and 4, 8, 16 or 32 do not.  A product that falls
+# under OpenBLAS's small-matrix bound (M*N*K <= 1e6) only at sub-chunk
+# size can still round some rows differently, by 1 ulp.
+SUB_CHUNK = 16
 
 OUTCOMES = ("TP", "TN", "FP", "FN")
 
@@ -74,31 +92,51 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
                          ) -> PredictiveDistribution:
     """Mean over m stochastic forward passes (mode mc_infer).
 
-    Passes run pass-outer, chunk-inner, so the rng draws come in the order
-    of m plain `net.forward` loops and the samples equal theirs.  Pass 0
-    runs every chunk through the whole network and holds the output of
-    its deterministic prefix (the layers before `net.first_stochastic`)
-    when that takes no more bytes than the chunk; passes 1..m-1 start
-    from a held output and rerun the prefix only where none is held.  So
-    a Flipout head reuses its whole trunk and a UQ-free network its
-    logits, while a conv whose output outgrows its input is recomputed
-    rather than held.  Softmax runs on float64 logits, so float32
-    networks yield rows that sum to 1 within 1e-9.
+    The samples, and the state the rng is left in, equal those of m
+    plain `net.forward` loops over chunks of EVAL_BATCH windows, pass j
+    over every chunk before pass j+1 (chunk-outer: see SUB_CHUNK for the
+    BLAS caveat).  The layers before `net.first_stochastic` run once per
+    window where they can:
+
+    - A network with such a prefix whose stochastic layers are all
+      MCDropouts, under a PCG64 rng, runs chunk-outer: for each SUB_CHUNK
+      windows, pass 0 runs the whole network and holds the prefix output,
+      and passes 1..m-1 start from it.  Each dropout mask is drawn at the
+      offset where the plain loop drew those rows (`_JumpRng`).
+    - Any other network runs pass-outer.  Pass 0 holds a chunk's prefix
+      output when that takes no more bytes than the chunk, so a Flipout
+      head reuses its whole trunk; passes 1..m-1 rerun the prefix where
+      none is held.  Flipout draws are not a fixed count of rng steps
+      and DropConnect masks are per pass, not per window, so neither can
+      be placed by offset.
+
+    Softmax runs on float64 logits, so float32 networks yield rows that
+    sum to 1 within 1e-9.
     """
     if m < 1:
         raise ValueError("need at least one posterior sample")
     if rng is None:
         rng = np.random.default_rng(0)
-    n = x.shape[0]
-    samples = np.empty((m, n, 2))
-    start = net.first_stochastic
+    samples = np.empty((m, x.shape[0], 2))
+    if (net.first_stochastic > 0
+            and isinstance(rng.bit_generator, np.random.PCG64)
+            and all(isinstance(layer, MCDropout) for layer in net.layers
+                    if layer.stochastic)):
+        _chunk_outer(net, x, rng, samples)
+    else:
+        _pass_outer(net, x, rng, samples)
+    return PredictiveDistribution.from_samples(samples)
+
+
+def _pass_outer(net, x, rng, samples):
+    n, start = x.shape[0], net.first_stochastic
     held: list[np.ndarray | None] = []  # per chunk, filled by pass 0
 
     def hold(h):  # called inside pass 0 of the current chunk
         if h.nbytes <= chunk.nbytes:
             held[-1] = h
 
-    for j in range(m):
+    for j in range(len(samples)):
         for c, lo in enumerate(range(0, n, EVAL_BATCH)):
             chunk = x[lo:lo + EVAL_BATCH]
             if j == 0:
@@ -112,7 +150,103 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
                                      start=start)
             samples[j, lo:lo + chunk.shape[0]] = _softmax(
                 logits.astype(np.float64, copy=False))
-    return PredictiveDistribution.from_samples(samples)
+
+
+def _chunk_outer(net, x, rng, samples):
+    n, start, m = x.shape[0], net.first_stochastic, len(samples)
+    entry = rng.bit_generator.state
+    jump = _JumpRng(entry)
+    held = None
+
+    def hold(h):  # called inside pass 0 of the current sub-chunk
+        nonlocal held
+        held = h
+
+    for lo in range(0, n, EVAL_BATCH):
+        chunk = x[lo:lo + EVAL_BATCH]
+        for rel, stop in _sub_chunks(chunk.shape[0]):
+            sub = chunk[rel:stop]
+            rows = slice(lo + rel, lo + stop)
+            for j in range(m):
+                jump.place(j * n + lo, chunk.shape[0], rel)
+                if j == 0:
+                    logits = net.forward(sub, mode="mc_infer", rng=jump,
+                                         hold=hold)
+                else:
+                    logits = net.forward(held, mode="mc_infer", rng=jump,
+                                         start=start)
+                samples[j, rows] = _softmax(
+                    logits.astype(np.float64, copy=False))
+            held = None  # free it before the next sub-chunk's prefix runs
+    _advance(rng.bit_generator, entry, m * n * sum(jump.per_window))
+
+
+def _sub_chunks(b: int) -> list[tuple[int, int]]:
+    """(start, stop) rows of a b-window chunk's sub-chunks.
+
+    SUB_CHUNK windows each from the chunk's start, except that a lone
+    last window joins the sub-chunk before it: numpy computes a one-row
+    matrix product with gemv, not gemm, which can round differently from
+    that row of the chunk's product.
+    """
+    cuts = list(range(0, b, SUB_CHUNK))
+    if len(cuts) > 1 and b - cuts[-1] == 1:
+        cuts.pop()
+    return list(zip(cuts, cuts[1:] + [b]))
+
+
+def _advance(bit_generator, state: dict, draws: int):
+    """Set a PCG64 to `state` moved on by `draws` doubles.
+
+    `rng.random` takes one 64-bit output per double, so this is where
+    `draws` doubles drawn from `state` leave it.  `advance` drops a
+    buffered 32-bit half, which double draws never touch, so it is put
+    back.
+    """
+    bit_generator.state = state
+    bit_generator.advance(draws)
+    if state["has_uint32"]:
+        moved = bit_generator.state
+        moved["has_uint32"], moved["uinteger"] = 1, state["uinteger"]
+        bit_generator.state = moved
+
+
+class _JumpRng:
+    """The rng a chunk-outer posterior hands its MCDropout layers.
+
+    The pass-outer loop draws, in pass j, the chunk at window lo at
+    stream offset (j*n + lo) * D, where D is the draws per window of all
+    dropout layers; within the chunk, layer k's [rows, ...] mask follows
+    the masks of layers 0..k-1, in row order.  `random(shape)` of the k-th
+    layer to draw in a forward returns mask rows rel..rel+shape[0] of
+    that chunk's mask, from a PCG64 jumped to their offset.
+    """
+
+    def __init__(self, entry: dict):
+        self._entry = entry  # the caller's rng state before any draw
+        self._gen = np.random.Generator(np.random.PCG64(0))
+        # draws per window of each dropout layer that draws, in call
+        # order; the first forward (pass 0, window 0) records them, and
+        # its draws start at offset 0 whatever D turns out to be
+        self.per_window: list[int] = []
+
+    def place(self, windows_before: int, chunk_rows: int, rel: int):
+        """Aim the next forward at rows rel.. of a chunk of chunk_rows
+        windows that windows_before windows precede in the plain stream."""
+        self._windows_before, self._chunk_rows, self._rel = \
+            windows_before, chunk_rows, rel
+        self._k = 0
+
+    def random(self, shape) -> np.ndarray:
+        k, d = self._k, math.prod(shape[1:])
+        if k == len(self.per_window):
+            self.per_window.append(d)
+        offset = (self._windows_before * sum(self.per_window)
+                  + self._chunk_rows * sum(self.per_window[:k])
+                  + self._rel * d)
+        self._k += 1
+        _advance(self._gen.bit_generator, self._entry, offset)
+        return self._gen.random(shape)
 
 
 def predictive_entropy(probs: np.ndarray) -> float | np.ndarray:

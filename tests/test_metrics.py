@@ -132,7 +132,7 @@ def _pcg64_holding_uint32(seed):
 def _three_block_mcd_cnn():
     """Dropout after conv blocks 1 and 2 only; block 3 has none."""
     cfg = arch.ModelConfig(family="cnn", uq="mc_dropout", cnn_blocks=3,
-                           f1=16, f2=24, f3=20, k1=4, k2=5, k3=6,
+                           f1=16, f2=32, f3=16, k1=4, k2=4, k3=8,
                            max_pool=2, dropout_rate=0.25)
     return arch.build_network(cfg, 6, 32, seed=3)
 
@@ -163,9 +163,11 @@ def test_posterior_edge_cases_equal_plain_loop(net_of, n, m, rng_of):
 
 
 def test_posterior_memory_peak_not_above_plain_loop():
-    """conv1's output is 10.7x its input, so it is recomputed, not held.
+    """conv1's output is 10.7x its input, so it is held per sub-chunk.
 
-    Holding it, or keeping any reference to it while the suffix runs,
+    Each 16-window sub-chunk holds its own 3.3 MB conv1 output for all
+    passes and drops it before the next one's conv1 runs.  Holding a
+    whole chunk's, or keeping any reference to it while the suffix runs,
     would add a 13 MB conv1 output per chunk to the peak; the 64 KiB slack
     covers only Python bookkeeping objects.
     """
@@ -186,6 +188,69 @@ def test_posterior_memory_peak_not_above_plain_loop():
     ours = peak(lambda: metrics.predictive_posterior(
         net, x, m=3, rng=np.random.default_rng(0)))
     assert ours <= plain + 64 * 1024, (ours, plain)
+
+
+def _traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_posterior_memory_peak_half_of_plain_loop():
+    """Chunk-outer holds one sub-chunk's conv1 output at a time, and each
+    forward runs a quarter of a chunk, so the peak is at most half the
+    plain loop's."""
+    cfg = arch.ModelConfig(family="cnn", uq="mc_dropout", cnn_blocks=2,
+                           f1=64, f2=64, k1=8, k2=8, max_pool=4)
+    net = arch.build_network(cfg, 6, 400, seed=0)
+    x = np.random.default_rng(25).normal(size=(150, 6, 400))
+    plain = _traced_peak(
+        lambda: _plain_samples(net, x, 3, np.random.default_rng(0)))
+    ours = _traced_peak(lambda: metrics.predictive_posterior(
+        net, x, m=3, rng=np.random.default_rng(0)))
+    assert 2 * ours <= plain, (ours, plain)
+
+
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+@pytest.mark.parametrize("method", arch.UQ_METHODS)
+@pytest.mark.parametrize("family", arch.FAMILIES)
+@pytest.mark.parametrize("b", (64, 49))
+def test_sub_chunk_rows_equal_chunk_rows(b, family, method, dtype):
+    """The premise of the chunk-outer posterior: in infer mode a chunk's
+    forward byte-equals its sub-chunk forwards stacked.  A BLAS whose GEMM
+    rows depend on the row count at these shapes fails here, by name."""
+    net = _family_net(family, method, dtype)
+    x = np.random.default_rng(28).normal(size=(b, 6, 32)).astype(dtype)
+    whole = net.forward(x, mode="infer")
+    parts = [net.forward(x[lo:hi], mode="infer")
+             for lo, hi in metrics._sub_chunks(b)]
+    assert whole.tobytes() == np.concatenate(parts).tobytes()
+
+
+def test_posterior_last_bit_where_gemm_rows_depend_on_row_count():
+    """Where a GEMM row's rounding depends on the row count, chunk-outer
+    samples differ from the plain loop's in the last bit only, and the
+    rng is still placed exactly.
+
+    OpenBLAS 0.3.31 computes a product with M*N*K <= 1e6 in its
+    small-matrix kernel.  Here conv3 (K = 24*6, N = 20, M = 8 rows per
+    window) is above that bound for a 64-window chunk and below it for a
+    16-window sub-chunk, and some rows round differently.
+    """
+    cfg = arch.ModelConfig(family="cnn", uq="mc_dropout", cnn_blocks=3,
+                           f1=16, f2=24, f3=20, k1=4, k2=5, k3=6,
+                           max_pool=2, dropout_rate=0.25)
+    net = arch.build_network(cfg, 6, 32, seed=3)
+    x = np.random.default_rng(26).normal(size=(150, 6, 32))
+    rng_a, rng_b = np.random.default_rng(27), np.random.default_rng(27)
+    dist = metrics.predictive_posterior(net, x, m=3, rng=rng_a)
+    expect = _plain_samples(net, x, 3, rng_b)
+    np.testing.assert_allclose(dist.samples, expect, rtol=0.0,
+                               atol=np.finfo(np.float64).eps)
+    assert rng_a.random() == rng_b.random()
 
 
 def test_posterior_rejects_unnormalized():
