@@ -99,9 +99,10 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
     window where they can:
 
     - A network with such a prefix whose stochastic layers are all
-      MCDropouts, under a PCG64 rng, runs chunk-outer: for each SUB_CHUNK
-      windows, pass 0 runs the whole network and holds the prefix output,
-      and passes 1..m-1 start from it.  Each dropout mask is drawn at the
+      MCDropouts (a UQ-free one has none and holds its logits), under a
+      PCG64 rng, runs chunk-outer: for each SUB_CHUNK windows, pass 0
+      runs the whole network and holds the prefix output, and passes
+      1..m-1 start from it.  Each dropout mask is drawn at the
       offset where the plain loop drew those rows (`_JumpRng`).
     - Any other network runs pass-outer.  Pass 0 holds a chunk's prefix
       output when that takes no more bytes than the chunk, so a Flipout
