@@ -4,21 +4,25 @@ The posterior over classes is the mean of M stochastic forward passes;
 entropy is computed on that mean distribution (natural log).  The layers
 before a network's first stochastic one are deterministic in mc_infer
 mode, so pass 0 holds their output and passes 1..M-1 start from it.
-Networks whose stochastic layers are all MC dropout run chunk-outer:
-each 16-window sub-chunk holds its prefix (conv1's output, say) for all
-M passes, and each mask is drawn at its offset in the pass-outer rng
-stream by PCG64 jump-ahead, so the samples are those of M plain passes
-wherever the BLAS rounds a GEMM row the same at any row count.  Every
-other network (Flipout, whose normal and choice draws do not take a
-fixed count of rng steps, and DropConnect) runs pass-outer and holds a
-chunk's prefix only where it takes no more bytes than the chunk.  ECE
-bins by max-probability confidence into K equal-width right-inclusive
-bins.  Candidate selection requires both per-class F1 scores at or
-above 0.9 and mean entropy at or below 0.1, boundaries inclusive.
+Most networks run pass-outer and hold a chunk's prefix only where it
+takes no more bytes than the chunk.  A conv network whose stochastic
+layers are all MC dropout, and whose prefix (conv1) is larger than its
+input and costly to rerun, runs chunk-outer instead: each 16-window
+sub-chunk holds its prefix for all M passes, and each mask is drawn at
+its offset in the pass-outer rng stream by PCG64 jump-ahead.  It does so
+only where the BLAS rounds every row of each of its matrix products at
+the sub-chunk's row count as at the chunk's, so the samples are those of
+M plain passes.  Flipout draws do not take a fixed count of rng steps
+and DropConnect masks are per pass, so neither can be placed by offset.
+ECE bins by max-probability confidence into K equal-width
+right-inclusive bins.  Candidate selection requires both per-class F1
+scores at or above 0.9 and mean entropy at or below 0.1, boundaries
+inclusive.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,6 +30,14 @@ from pathlib import Path
 import numpy as np
 
 from .arch import Network
+from .nncore.layers import (
+    BatchNorm1D,
+    Conv1D,
+    Dense,
+    GlobalAvgPool1D,
+    MaxPool1D,
+    ReLU,
+)
 from .uq import MCDropout
 
 F1_THRESHOLD = 0.9
@@ -36,14 +48,13 @@ DEFAULT_BINS = 10
 # keeps the conv window-view buffer small on wide configs
 EVAL_BATCH = 64
 # windows per sub-chunk of a chunk-outer posterior, counted from the
-# chunk's start.  Its samples equal the pass-outer ones where the BLAS
-# rounds each GEMM row the same at the sub-chunk's and the chunk's row
-# count.  A multiple of the kernels' row blocking keeps that for most
-# shapes: on OpenBLAS 0.3.31 sub-chunks of 2, 5 or 6 windows move the
-# head Dense by 1 ulp, and 4, 8, 16 or 32 do not.  A product that falls
-# under OpenBLAS's small-matrix bound (M*N*K <= 1e6) only at sub-chunk
-# size can still round some rows differently, by 1 ulp.
+# chunk's start so that sub-chunk rows keep their place in the GEMM
+# kernels' row blocking
 SUB_CHUNK = 16
+# multiplies a sub-chunk's prefix must take to pay for the extra suffix
+# calls of sub-chunks: a 1-block CNN on 32-step windows (2e5) ran 1.6x
+# slower chunk-outer, the posterior benchmark's CNN (2e7) 1.3x faster
+PREFIX_MULTIPLIES_MIN = 1e6
 
 OUTCOMES = ("TP", "TN", "FP", "FN")
 
@@ -94,16 +105,14 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
 
     The samples, and the state the rng is left in, equal those of m
     plain `net.forward` loops over chunks of EVAL_BATCH windows, pass j
-    over every chunk before pass j+1 (chunk-outer: see SUB_CHUNK for the
-    BLAS caveat).  The layers before `net.first_stochastic` run once per
-    window where they can:
+    over every chunk before pass j+1.  The layers before
+    `net.first_stochastic` run once per window where they can:
 
-    - A network with such a prefix whose stochastic layers are all
-      MCDropouts (a UQ-free one has none and holds its logits), under a
-      PCG64 rng, runs chunk-outer: for each SUB_CHUNK windows, pass 0
-      runs the whole network and holds the prefix output, and passes
-      1..m-1 start from it.  Each dropout mask is drawn at the
-      offset where the plain loop drew those rows (`_JumpRng`).
+    - Under a PCG64 rng, a network that `_chunk_outer_fits` runs
+      chunk-outer: for each SUB_CHUNK windows, pass 0 runs the whole
+      network and holds the prefix output, and passes 1..m-1 start from
+      it.  Each dropout mask is drawn at the offset where the plain loop
+      drew those rows (`_JumpRng`).
     - Any other network runs pass-outer.  Pass 0 holds a chunk's prefix
       output when that takes no more bytes than the chunk, so a Flipout
       head reuses its whole trunk; passes 1..m-1 rerun the prefix where
@@ -119,14 +128,93 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
     if rng is None:
         rng = np.random.default_rng(0)
     samples = np.empty((m, x.shape[0], 2))
-    if (net.first_stochastic > 0
-            and isinstance(rng.bit_generator, np.random.PCG64)
-            and all(isinstance(layer, MCDropout) for layer in net.layers
-                    if layer.stochastic)):
+    if (isinstance(rng.bit_generator, np.random.PCG64)
+            and _chunk_outer_fits(net, x.shape[0], x.dtype)):
         _chunk_outer(net, x, rng, samples)
     else:
         _pass_outer(net, x, rng, samples)
     return PredictiveDistribution.from_samples(samples)
+
+
+def _chunk_outer_fits(net: Network, n: int, dtype) -> bool:
+    """Whether an n-window posterior of net on dtype windows gains by
+    running chunk-outer, and keeps every sample of the plain loop.
+
+    - Its stochastic layers are all MCDropouts, and layers precede them.
+    - Its prefix output is larger than its input, so the pass-outer loop
+      would rerun the prefix in every pass.
+    - Its prefix takes PREFIX_MULTIPLIES_MIN multiplies per sub-chunk.
+    - It has no LSTM (`_products`): an LSTM steps through time once per
+      call, and a 1-block CNN-LSTM of 200 steps ran 1.3x slower.
+    - The BLAS keeps every row of each of its products at every chunk's
+      sub-chunks (`_rows_kept`).
+    """
+    start = net.first_stochastic
+    walked = _products(net, dtype)
+    if (walked is None or not 0 < start < len(net.layers)
+            or not all(isinstance(layer, MCDropout) for layer in net.layers
+                       if layer.stochastic)):
+        return False
+    products, sizes = walked
+    if sizes[start] <= sizes[0] or SUB_CHUNK * sum(
+            r * k * n_out for i, r, k, n_out, _ in products
+            if i < start) < PREFIX_MULTIPLIES_MIN:
+        return False
+    return all(_rows_kept(r, k, n_out, b, dt)
+               for b in {min(n, EVAL_BATCH), n % EVAL_BATCH or EVAL_BATCH}
+               for _, r, k, n_out, dt in products)
+
+
+def _products(net: Network, dtype):
+    """(layer index, rows per window, K, N, dtype) of each [rows, K] @
+    [K, N] product in an mc_infer pass on dtype windows, and the
+    elements per window each layer takes in.
+
+    None for a network with a layer of any other kind than those below,
+    such as an LSTM, a Flipout head or a residual block.
+    """
+    length, width = net.window_length, net.n_channels
+    products, sizes = [], []
+    for i, layer in enumerate(net.layers):
+        sizes.append(length * width)
+        if isinstance(layer, Conv1D):  # "same" padding keeps the length
+            products.append((i, length, layer.kernel * layer.n_in,
+                             layer.filters, np.dtype(dtype).name))
+            width = layer.filters
+        elif isinstance(layer, Dense):
+            products.append((i, length, layer.n_in, layer.n_out,
+                             np.result_type(dtype, layer.w.value).name))
+            width = layer.n_out
+        elif isinstance(layer, MaxPool1D):
+            length //= layer.pool
+        elif isinstance(layer, GlobalAvgPool1D):
+            length = 1
+        elif not isinstance(layer, (MCDropout, BatchNorm1D, ReLU)):
+            return None
+    return products, sizes
+
+
+@functools.lru_cache(maxsize=None)
+def _rows_kept(rows: int, k: int, n: int, b: int, dtype: str) -> bool:
+    """Whether the BLAS rounds every row of a [b*rows, k] @ [k, n]
+    product as in the products of b windows' sub-chunks.
+
+    It need not: OpenBLAS 0.3.31 chooses its kernel (a small-matrix one
+    up to M*N*K = 1e6 on AVX-512 builds) and its split over threads by
+    the row count, and with 2 threads rows of a conv3 at 4 rows per
+    window moved by 1 ulp.  The operands are filled in place and each
+    sub-chunk is compared as it is made, so this holds no more than the
+    chunk's product, its operands and one sub-chunk's product: less than
+    the conv forward that makes such a product.
+    """
+    a = np.arange(b * rows * k, dtype=dtype).reshape(b * rows, k)
+    w = np.arange(k * n, dtype=dtype).reshape(k, n) + 0.5
+    np.sin(a, out=a)
+    np.sin(w, out=w)
+    whole = a @ w
+    return all((a[rel * rows:stop * rows] @ w).tobytes()
+               == whole[rel * rows:stop * rows].tobytes()
+               for rel, stop in _sub_chunks(b))
 
 
 def _pass_outer(net, x, rng, samples):

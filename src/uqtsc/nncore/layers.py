@@ -264,11 +264,9 @@ class BatchNorm1D(Layer):
         ivar = 1.0 / np.sqrt(var + self.EPS)
         xhat *= np.tile(ivar, reps)
         self._cache = (xhat, ivar) if mode == "train" else None
-        gamma = np.tile(self.gamma.value, reps)
-        if mode == "train":
-            y = xhat * gamma
-        else:  # xhat is not kept, so y takes its buffer
-            y = np.multiply(xhat, gamma, out=xhat)
+        # outside train xhat is not kept, so y takes its buffer
+        y = np.multiply(xhat, np.tile(self.gamma.value, reps),
+                        out=None if mode == "train" else xhat)
         y += np.tile(self.beta.value, reps)
         return y.reshape(x.shape)
 

@@ -36,9 +36,9 @@ class _Bernoulli:
     A fresh mask is drawn per pass in active modes when p > 0; otherwise
     the tensor passes through.  Only a train pass keeps its mask for
     backward.  The mask comes from a float64 uniform draw but is built in
-    the tensor's dtype, so a float32 pass stays float32; a float64
-    mc_infer pass builds it, and the product, in the draw's buffer.
-    Stochastic even at p = 0, as the layer kind, not the rate, decides it.
+    the tensor's dtype, so a float32 pass stays float32; an mc_infer pass
+    writes the product into the mask.  Stochastic even at p = 0, as the
+    layer kind, not the rate, decides it.
     """
 
     stochastic = True
@@ -49,16 +49,11 @@ class _Bernoulli:
             if rng is None:
                 raise ValueError(f"{self.name}: active mode needs an rng")
             keep = 1.0 - self.p
-            if mode == "mc_infer" and v.dtype == np.float64:
-                # nothing is kept for backward, so the mask and then the
-                # product go into the draw's buffer (the same arithmetic)
-                r = rng.random(v.shape)
-                np.divide(r < keep, keep, out=r)
-                return np.multiply(v, r, out=r)
             mask = np.divide(rng.random(v.shape) < keep, keep, dtype=v.dtype)
             if mode == "train":
                 self._mask = mask
-            return v * mask
+                return v * mask
+            return np.multiply(v, mask, out=mask)
         return v
 
     def _mask_grad(self, g):

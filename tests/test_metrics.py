@@ -132,27 +132,51 @@ def _pcg64_holding_uint32(seed):
 def _three_block_mcd_cnn():
     """Dropout after conv blocks 1 and 2 only; block 3 has none."""
     cfg = arch.ModelConfig(family="cnn", uq="mc_dropout", cnn_blocks=3,
-                           f1=16, f2=32, f3=16, k1=4, k2=4, k3=8,
+                           f1=16, f2=24, f3=20, k1=4, k2=5, k3=6,
                            max_pool=2, dropout_rate=0.25)
     return arch.build_network(cfg, 6, 32, seed=3)
 
 
+def _chunk_outer_cnn(cnn_blocks=2):
+    """An MC-dropout CNN on 32-step windows whose conv1 (9.8e4
+    multiplies per window) pays for chunk-outer."""
+    cfg = arch.ModelConfig(family="cnn", uq="mc_dropout",
+                           cnn_blocks=cnn_blocks, f1=32, f2=32, f3=32,
+                           k1=16, k2=16, k3=16, max_pool=2,
+                           dropout_rate=0.25)
+    return arch.build_network(cfg, 6, 32, seed=3)
+
+
+def _rows_moved_cnn():
+    """Its conv3 takes 4 rows per window: on OpenBLAS 0.3.31 with 2
+    threads some of them round differently at 16 windows than at 64."""
+    cfg = arch.ModelConfig(family="cnn", uq="mc_dropout", cnn_blocks=3,
+                           f1=108, f2=102, f3=127, k1=8, k2=12, k3=9,
+                           max_pool=4, dropout_rate=0.3)
+    return arch.build_network(cfg, 6, 64, seed=1)
+
+
 @pytest.mark.parametrize("net_of, n, m, rng_of", [
-    *[(lambda: _family_net("cnn", "mc_dropout"), n, 3, np.random.default_rng)
+    *[(_chunk_outer_cnn, n, 3, np.random.default_rng)
       for n in (1, 15, 16, 17, 64, 65)],
-    (lambda: _family_net("cnn", "mc_dropout"), 65, 1, np.random.default_rng),
+    (_chunk_outer_cnn, 65, 1, np.random.default_rng),
     (_three_block_mcd_cnn, 150, 3, np.random.default_rng),
+    (lambda: _chunk_outer_cnn(3), 140, 3, np.random.default_rng),
     (lambda: _family_net("cnn_lstm", "mc_dropout"), 81, 2,
      np.random.default_rng),
-    (lambda: _family_net("cnn", "mc_dropout"), 150, 3, _mt19937),
-    (lambda: _family_net("cnn", "mc_dropout"), 70, 2, _pcg64_holding_uint32),
+    (_chunk_outer_cnn, 150, 3, _mt19937),
+    (_chunk_outer_cnn, 70, 2, _pcg64_holding_uint32),
+    (_chunk_outer_cnn, 150, 2, np.random.default_rng),
+    (_rows_moved_cnn, 30, 2, np.random.default_rng),
 ], ids=["n1", "n15", "n16", "n17", "n64", "n65", "m1", "three_blocks",
-        "cnn_lstm", "mt19937", "pcg64_uint32"])
+        "three_blocks_chunk_outer", "cnn_lstm", "mt19937", "pcg64_uint32",
+        "ragged_6_window_sub_chunk", "rows_moved_by_blas"])
 def test_posterior_edge_cases_equal_plain_loop(net_of, n, m, rng_of):
     """Byte-equal samples, and the rng left where the plain loop leaves it:
     the next 32-bit draw (buffered or not) and the next double agree."""
     net = net_of()
-    x = np.random.default_rng(26).normal(size=(n, 6, 32))
+    length = net.window_length
+    x = np.random.default_rng(26).normal(size=(n, 6, length))
     rng_a, rng_b = rng_of(27), rng_of(27)
     dist = metrics.predictive_posterior(net, x, m=m, rng=rng_a)
     expect = _plain_samples(net, x, m, rng_b)
@@ -162,6 +186,43 @@ def test_posterior_edge_cases_equal_plain_loop(net_of, n, m, rng_of):
         assert draw(rng_a) == draw(rng_b)
 
 
+def _net_400(family="cnn", uq="mc_dropout"):
+    """The MC-dropout CNN of the posterior benchmark, on 400-step windows."""
+    cfg = arch.ModelConfig(family=family, uq=uq, cnn_blocks=2, f1=64,
+                           f2=64, k1=8, k2=8, max_pool=4, u1=32)
+    return arch.build_network(cfg, 6, 400, seed=0)
+
+
+@pytest.mark.parametrize("net_of, pays", [
+    (_net_400, True),
+    (lambda: _net_400(uq="none"), False),
+    (lambda: _net_400(uq="dropconnect"), False),
+    (lambda: _net_400(uq="flipout"), False),
+    (lambda: _net_400(family="fcn"), True),
+    (lambda: _net_400(family="cnn_lstm"), False),
+    (lambda: _net_400(family="lstm"), False),
+    (lambda: _family_net("cnn", "mc_dropout"), False),
+    (_chunk_outer_cnn, True),
+], ids=["cnn", "none", "dropconnect", "flipout", "fcn", "cnn_lstm", "lstm",
+        "cheap_conv1", "chunk_outer_cnn"])
+def test_chunk_outer_gate(net_of, pays, monkeypatch):
+    """Chunk-outer needs MC dropout, no LSTM and a rerun prefix costly
+    enough to pay for sub-chunk calls.  With the BLAS row check passed,
+    that decides, for 1, 64 and 162 windows alike; with it failed, no
+    network runs chunk-outer."""
+    net = net_of()
+    for kept in (True, False):
+        monkeypatch.setattr(metrics, "_rows_kept", lambda *a: kept)
+        assert [metrics._chunk_outer_fits(net, n, np.float64)
+                for n in (1, 64, 162)] == [pays and kept] * 3
+
+
+def test_rows_kept_by_the_benchmark_cnn():
+    """Every product of the benchmark CNN keeps its rows here, so its
+    posterior runs chunk-outer; a BLAS where it does not is named here."""
+    assert metrics._chunk_outer_fits(_net_400(), 162, np.float64)
+
+
 def test_posterior_memory_peak_not_above_plain_loop():
     """conv1's output is 10.7x its input, so it is held per sub-chunk.
 
@@ -169,7 +230,9 @@ def test_posterior_memory_peak_not_above_plain_loop():
     passes and drops it before the next one's conv1 runs.  Holding a
     whole chunk's, or keeping any reference to it while the suffix runs,
     would add a 13 MB conv1 output per chunk to the peak; the 64 KiB slack
-    covers only Python bookkeeping objects.
+    covers only Python bookkeeping objects.  The first posterior of a
+    network shape also checks its products at chunk size (`_rows_kept`),
+    one at a time.
     """
     cfg = arch.ModelConfig(family="cnn", uq="mc_dropout", cnn_blocks=2,
                            f1=64, f2=64, k1=8, k2=8, max_pool=4)
@@ -188,69 +251,6 @@ def test_posterior_memory_peak_not_above_plain_loop():
     ours = peak(lambda: metrics.predictive_posterior(
         net, x, m=3, rng=np.random.default_rng(0)))
     assert ours <= plain + 64 * 1024, (ours, plain)
-
-
-def _traced_peak(run):
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_posterior_memory_peak_half_of_plain_loop():
-    """Chunk-outer holds one sub-chunk's conv1 output at a time, and each
-    forward runs a quarter of a chunk, so the peak is at most half the
-    plain loop's."""
-    cfg = arch.ModelConfig(family="cnn", uq="mc_dropout", cnn_blocks=2,
-                           f1=64, f2=64, k1=8, k2=8, max_pool=4)
-    net = arch.build_network(cfg, 6, 400, seed=0)
-    x = np.random.default_rng(25).normal(size=(150, 6, 400))
-    plain = _traced_peak(
-        lambda: _plain_samples(net, x, 3, np.random.default_rng(0)))
-    ours = _traced_peak(lambda: metrics.predictive_posterior(
-        net, x, m=3, rng=np.random.default_rng(0)))
-    assert 2 * ours <= plain, (ours, plain)
-
-
-@pytest.mark.parametrize("dtype", (np.float64, np.float32))
-@pytest.mark.parametrize("method", arch.UQ_METHODS)
-@pytest.mark.parametrize("family", arch.FAMILIES)
-@pytest.mark.parametrize("b", (64, 49))
-def test_sub_chunk_rows_equal_chunk_rows(b, family, method, dtype):
-    """The premise of the chunk-outer posterior: in infer mode a chunk's
-    forward byte-equals its sub-chunk forwards stacked.  A BLAS whose GEMM
-    rows depend on the row count at these shapes fails here, by name."""
-    net = _family_net(family, method, dtype)
-    x = np.random.default_rng(28).normal(size=(b, 6, 32)).astype(dtype)
-    whole = net.forward(x, mode="infer")
-    parts = [net.forward(x[lo:hi], mode="infer")
-             for lo, hi in metrics._sub_chunks(b)]
-    assert whole.tobytes() == np.concatenate(parts).tobytes()
-
-
-def test_posterior_last_bit_where_gemm_rows_depend_on_row_count():
-    """Where a GEMM row's rounding depends on the row count, chunk-outer
-    samples differ from the plain loop's in the last bit only, and the
-    rng is still placed exactly.
-
-    OpenBLAS 0.3.31 computes a product with M*N*K <= 1e6 in its
-    small-matrix kernel.  Here conv3 (K = 24*6, N = 20, M = 8 rows per
-    window) is above that bound for a 64-window chunk and below it for a
-    16-window sub-chunk, and some rows round differently.
-    """
-    cfg = arch.ModelConfig(family="cnn", uq="mc_dropout", cnn_blocks=3,
-                           f1=16, f2=24, f3=20, k1=4, k2=5, k3=6,
-                           max_pool=2, dropout_rate=0.25)
-    net = arch.build_network(cfg, 6, 32, seed=3)
-    x = np.random.default_rng(26).normal(size=(150, 6, 32))
-    rng_a, rng_b = np.random.default_rng(27), np.random.default_rng(27)
-    dist = metrics.predictive_posterior(net, x, m=3, rng=rng_a)
-    expect = _plain_samples(net, x, 3, rng_b)
-    np.testing.assert_allclose(dist.samples, expect, rtol=0.0,
-                               atol=np.finfo(np.float64).eps)
-    assert rng_a.random() == rng_b.random()
 
 
 def test_posterior_rejects_unnormalized():
