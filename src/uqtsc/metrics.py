@@ -1,20 +1,12 @@
 """Predictive posterior, entropy, calibration, F1, and the selection gate.
 
 The posterior over classes is the mean of M stochastic forward passes;
-entropy is computed on that mean distribution (natural log).  The layers
+entropy is computed on that mean distribution (natural log).  It runs
+chunk-outer: each chunk of windows takes all M passes before the next
+chunk starts, drawing from the caller's rng in call order.  The layers
 before a network's first stochastic one are deterministic in mc_infer
-mode, so pass 0 holds their output and passes 1..M-1 start from it.
-Most networks run pass-outer and hold a chunk's prefix only where it
-takes no more bytes than the chunk.  A conv network whose stochastic
-layers are all MC dropout, and whose prefix (conv1) is larger than its
-input and costly to rerun, runs chunk-outer instead: each 16-window
-sub-chunk holds its prefix for all M passes, and each mask is drawn at
-its offset in the pass-outer rng stream by PCG64 jump-ahead.  It does so
-only where the BLAS rounds every row of each of its matrix products at
-the sub-chunk's row count as at the chunk's, so the samples are those of
-M plain passes.  Flipout draws do not take a fixed count of rng steps
-and DropConnect masks are per pass, so neither can be placed by offset.
-ECE bins by max-probability confidence into K equal-width
+mode, so pass 0 of a chunk holds their output and passes 1..M-1 start
+from it.  ECE bins by max-probability confidence into K equal-width
 right-inclusive bins.  Candidate selection requires both per-class F1
 scores at or above 0.9 and mean entropy at or below 0.1, boundaries
 inclusive.
@@ -22,39 +14,28 @@ inclusive.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .arch import Network
-from .nncore.layers import (
-    BatchNorm1D,
-    Conv1D,
-    Dense,
-    GlobalAvgPool1D,
-    MaxPool1D,
-    ReLU,
-)
-from .uq import MCDropout
+from .nncore.layers import LSTM
 
 F1_THRESHOLD = 0.9
 ENTROPY_THRESHOLD = 0.1
 DEFAULT_M = 10
 DEFAULT_BINS = 10
-# windows per inference forward call (here and in training.evaluate);
-# keeps the conv window-view buffer small on wide configs
+# windows per infer-mode forward call in training.evaluate, which keeps
+# the conv window-view buffer small on wide configs, and per posterior
+# chunk of a network with an LSTM: an LSTM steps through time in Python
+# once per call, so smaller calls cost more than they save
 EVAL_BATCH = 64
-# windows per sub-chunk of a chunk-outer posterior, counted from the
-# chunk's start so that sub-chunk rows keep their place in the GEMM
-# kernels' row blocking
+# windows per posterior chunk of a network without an LSTM, which holds
+# its prefix output for all passes: the posterior benchmark CNN's conv1
+# output is 10.7x its input, and 16 windows keep that under the peak of
+# a 64-window pass
 SUB_CHUNK = 16
-# multiplies a sub-chunk's prefix must take to pay for the extra suffix
-# calls of sub-chunks: a 1-block CNN on 32-step windows (2e5) ran 1.6x
-# slower chunk-outer, the posterior benchmark's CNN (2e7) 1.3x faster
-PREFIX_MULTIPLIES_MIN = 1e6
 
 OUTCOMES = ("TP", "TN", "FP", "FN")
 
@@ -103,22 +84,13 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
                          ) -> PredictiveDistribution:
     """Mean over m stochastic forward passes (mode mc_infer).
 
-    The samples, and the state the rng is left in, equal those of m
-    plain `net.forward` loops over chunks of EVAL_BATCH windows, pass j
-    over every chunk before pass j+1.  The layers before
-    `net.first_stochastic` run once per window where they can:
-
-    - Under a PCG64 rng, a network that `_chunk_outer_fits` runs
-      chunk-outer: for each SUB_CHUNK windows, pass 0 runs the whole
-      network and holds the prefix output, and passes 1..m-1 start from
-      it.  Each dropout mask is drawn at the offset where the plain loop
-      drew those rows (`_JumpRng`).
-    - Any other network runs pass-outer.  Pass 0 holds a chunk's prefix
-      output when that takes no more bytes than the chunk, so a Flipout
-      head reuses its whole trunk; passes 1..m-1 rerun the prefix where
-      none is held.  Flipout draws are not a fixed count of rng steps
-      and DropConnect masks are per pass, not per window, so neither can
-      be placed by offset.
+    For each chunk of windows in turn (EVAL_BATCH for a network with an
+    LSTM, SUB_CHUNK for any other), m passes draw from rng in call order,
+    so the samples and the state rng is left in are those of m plain
+    `net.forward(chunk, mode="mc_infer", rng=rng)` calls per chunk.
+    Pass 0 holds the input of layer `net.first_stochastic` and passes
+    1..m-1 start from it; with a stochastic first layer every pass runs
+    the whole network.
 
     Softmax runs on float64 logits, so float32 networks yield rows that
     sum to 1 within 1e-9.
@@ -127,215 +99,29 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
         raise ValueError("need at least one posterior sample")
     if rng is None:
         rng = np.random.default_rng(0)
-    samples = np.empty((m, x.shape[0], 2))
-    if (isinstance(rng.bit_generator, np.random.PCG64)
-            and _chunk_outer_fits(net, x.shape[0], x.dtype)):
-        _chunk_outer(net, x, rng, samples)
-    else:
-        _pass_outer(net, x, rng, samples)
-    return PredictiveDistribution.from_samples(samples)
-
-
-def _chunk_outer_fits(net: Network, n: int, dtype) -> bool:
-    """Whether an n-window posterior of net on dtype windows gains by
-    running chunk-outer, and keeps every sample of the plain loop.
-
-    - Its stochastic layers are all MCDropouts, and layers precede them.
-    - Its prefix output is larger than its input, so the pass-outer loop
-      would rerun the prefix in every pass.
-    - Its prefix takes PREFIX_MULTIPLIES_MIN multiplies per sub-chunk.
-    - It has no LSTM (`_products`): an LSTM steps through time once per
-      call, and a 1-block CNN-LSTM of 200 steps ran 1.3x slower.
-    - The BLAS keeps every row of each of its products at every chunk's
-      sub-chunks (`_rows_kept`).
-    """
-    start = net.first_stochastic
-    walked = _products(net, dtype)
-    if (walked is None or not 0 < start < len(net.layers)
-            or not all(isinstance(layer, MCDropout) for layer in net.layers
-                       if layer.stochastic)):
-        return False
-    products, sizes = walked
-    if sizes[start] <= sizes[0] or SUB_CHUNK * sum(
-            r * k * n_out for i, r, k, n_out, _ in products
-            if i < start) < PREFIX_MULTIPLIES_MIN:
-        return False
-    return all(_rows_kept(r, k, n_out, b, dt)
-               for b in {min(n, EVAL_BATCH), n % EVAL_BATCH or EVAL_BATCH}
-               for _, r, k, n_out, dt in products)
-
-
-def _products(net: Network, dtype):
-    """(layer index, rows per window, K, N, dtype) of each [rows, K] @
-    [K, N] product in an mc_infer pass on dtype windows, and the
-    elements per window each layer takes in.
-
-    None for a network with a layer of any other kind than those below,
-    such as an LSTM, a Flipout head or a residual block.
-    """
-    length, width = net.window_length, net.n_channels
-    products, sizes = [], []
-    for i, layer in enumerate(net.layers):
-        sizes.append(length * width)
-        if isinstance(layer, Conv1D):  # "same" padding keeps the length
-            products.append((i, length, layer.kernel * layer.n_in,
-                             layer.filters, np.dtype(dtype).name))
-            width = layer.filters
-        elif isinstance(layer, Dense):
-            products.append((i, length, layer.n_in, layer.n_out,
-                             np.result_type(dtype, layer.w.value).name))
-            width = layer.n_out
-        elif isinstance(layer, MaxPool1D):
-            length //= layer.pool
-        elif isinstance(layer, GlobalAvgPool1D):
-            length = 1
-        elif not isinstance(layer, (MCDropout, BatchNorm1D, ReLU)):
-            return None
-    return products, sizes
-
-
-@functools.lru_cache(maxsize=None)
-def _rows_kept(rows: int, k: int, n: int, b: int, dtype: str) -> bool:
-    """Whether the BLAS rounds every row of a [b*rows, k] @ [k, n]
-    product as in the products of b windows' sub-chunks.
-
-    It need not: OpenBLAS 0.3.31 chooses its kernel (a small-matrix one
-    up to M*N*K = 1e6 on AVX-512 builds) and its split over threads by
-    the row count, and with 2 threads rows of a conv3 at 4 rows per
-    window moved by 1 ulp.  The operands are filled in place and each
-    sub-chunk is compared as it is made, so this holds no more than the
-    chunk's product, its operands and one sub-chunk's product: less than
-    the conv forward that makes such a product.
-    """
-    a = np.arange(b * rows * k, dtype=dtype).reshape(b * rows, k)
-    w = np.arange(k * n, dtype=dtype).reshape(k, n) + 0.5
-    np.sin(a, out=a)
-    np.sin(w, out=w)
-    whole = a @ w
-    return all((a[rel * rows:stop * rows] @ w).tobytes()
-               == whole[rel * rows:stop * rows].tobytes()
-               for rel, stop in _sub_chunks(b))
-
-
-def _pass_outer(net, x, rng, samples):
     n, start = x.shape[0], net.first_stochastic
-    held: list[np.ndarray | None] = []  # per chunk, filled by pass 0
-
-    def hold(h):  # called inside pass 0 of the current chunk
-        if h.nbytes <= chunk.nbytes:
-            held[-1] = h
-
-    for j in range(len(samples)):
-        for c, lo in enumerate(range(0, n, EVAL_BATCH)):
-            chunk = x[lo:lo + EVAL_BATCH]
-            if j == 0:
-                held.append(None)  # no prefix to hold when start is 0
-                logits = net.forward(chunk, mode="mc_infer", rng=rng,
-                                     hold=hold if start else None)
-            elif held[c] is None:
-                logits = net.forward(chunk, mode="mc_infer", rng=rng)
-            else:
-                logits = net.forward(held[c], mode="mc_infer", rng=rng,
-                                     start=start)
-            samples[j, lo:lo + chunk.shape[0]] = _softmax(
-                logits.astype(np.float64, copy=False))
-
-
-def _chunk_outer(net, x, rng, samples):
-    n, start, m = x.shape[0], net.first_stochastic, len(samples)
-    entry = rng.bit_generator.state
-    jump = _JumpRng(entry)
+    step = (EVAL_BATCH if any(isinstance(layer, LSTM) for layer in net.layers)
+            else SUB_CHUNK)
+    samples = np.empty((m, n, 2))
     held = None
 
-    def hold(h):  # called inside pass 0 of the current sub-chunk
+    def hold(h):  # called inside pass 0 of the current chunk
         nonlocal held
         held = h
 
-    for lo in range(0, n, EVAL_BATCH):
-        chunk = x[lo:lo + EVAL_BATCH]
-        for rel, stop in _sub_chunks(chunk.shape[0]):
-            sub = chunk[rel:stop]
-            rows = slice(lo + rel, lo + stop)
-            for j in range(m):
-                jump.place(j * n + lo, chunk.shape[0], rel)
-                if j == 0:
-                    logits = net.forward(sub, mode="mc_infer", rng=jump,
-                                         hold=hold)
-                else:
-                    logits = net.forward(held, mode="mc_infer", rng=jump,
-                                         start=start)
-                samples[j, rows] = _softmax(
-                    logits.astype(np.float64, copy=False))
-            held = None  # free it before the next sub-chunk's prefix runs
-    _advance(rng.bit_generator, entry, m * n * sum(jump.per_window))
-
-
-def _sub_chunks(b: int) -> list[tuple[int, int]]:
-    """(start, stop) rows of a b-window chunk's sub-chunks.
-
-    SUB_CHUNK windows each from the chunk's start, except that a lone
-    last window joins the sub-chunk before it: numpy computes a one-row
-    matrix product with gemv, not gemm, which can round differently from
-    that row of the chunk's product.
-    """
-    cuts = list(range(0, b, SUB_CHUNK))
-    if len(cuts) > 1 and b - cuts[-1] == 1:
-        cuts.pop()
-    return list(zip(cuts, cuts[1:] + [b]))
-
-
-def _advance(bit_generator, state: dict, draws: int):
-    """Set a PCG64 to `state` moved on by `draws` doubles.
-
-    `rng.random` takes one 64-bit output per double, so this is where
-    `draws` doubles drawn from `state` leave it.  `advance` drops a
-    buffered 32-bit half, which double draws never touch, so it is put
-    back.
-    """
-    bit_generator.state = state
-    bit_generator.advance(draws)
-    if state["has_uint32"]:
-        moved = bit_generator.state
-        moved["has_uint32"], moved["uinteger"] = 1, state["uinteger"]
-        bit_generator.state = moved
-
-
-class _JumpRng:
-    """The rng a chunk-outer posterior hands its MCDropout layers.
-
-    The pass-outer loop draws, in pass j, the chunk at window lo at
-    stream offset (j*n + lo) * D, where D is the draws per window of all
-    dropout layers; within the chunk, layer k's [rows, ...] mask follows
-    the masks of layers 0..k-1, in row order.  `random(shape)` of the k-th
-    layer to draw in a forward returns mask rows rel..rel+shape[0] of
-    that chunk's mask, from a PCG64 jumped to their offset.
-    """
-
-    def __init__(self, entry: dict):
-        self._entry = entry  # the caller's rng state before any draw
-        self._gen = np.random.Generator(np.random.PCG64(0))
-        # draws per window of each dropout layer that draws, in call
-        # order; the first forward (pass 0, window 0) records them, and
-        # its draws start at offset 0 whatever D turns out to be
-        self.per_window: list[int] = []
-
-    def place(self, windows_before: int, chunk_rows: int, rel: int):
-        """Aim the next forward at rows rel.. of a chunk of chunk_rows
-        windows that windows_before windows precede in the plain stream."""
-        self._windows_before, self._chunk_rows, self._rel = \
-            windows_before, chunk_rows, rel
-        self._k = 0
-
-    def random(self, shape) -> np.ndarray:
-        k, d = self._k, math.prod(shape[1:])
-        if k == len(self.per_window):
-            self.per_window.append(d)
-        offset = (self._windows_before * sum(self.per_window)
-                  + self._chunk_rows * sum(self.per_window[:k])
-                  + self._rel * d)
-        self._k += 1
-        _advance(self._gen.bit_generator, self._entry, offset)
-        return self._gen.random(shape)
+    for lo in range(0, n, step):
+        chunk = x[lo:lo + step]
+        for j in range(m):
+            if held is None:
+                logits = net.forward(chunk, mode="mc_infer", rng=rng,
+                                     hold=hold if start else None)
+            else:
+                logits = net.forward(held, mode="mc_infer", rng=rng,
+                                     start=start)
+            samples[j, lo:lo + chunk.shape[0]] = _softmax(
+                logits.astype(np.float64, copy=False))
+        held = None  # the next chunk runs and holds its own prefix
+    return PredictiveDistribution.from_samples(samples)
 
 
 def predictive_entropy(probs: np.ndarray) -> float | np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from uqtsc import arch, metrics
-from uqtsc.nncore import ShapeMismatch
+from uqtsc.nncore import LSTM, ShapeMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +69,14 @@ def _family_net(family, method, dtype=np.float64):
     return arch.build_network(cfg, 6, 32, seed=2).astype(dtype)
 
 
-def _plain_samples(net, x, m, rng, batch_size=64):
-    """m full forward passes per chunk, pass-outer, as the reference."""
+def _plain_samples(net, x, m, rng):
+    """m full forward passes per chunk, chunk-outer, as the reference:
+    64 windows per chunk for a network with an LSTM, 16 otherwise."""
     samples = np.empty((m, len(x), 2))
-    for j in range(m):
-        for lo in range(0, len(x), batch_size):
-            logits = net.forward(x[lo:lo + batch_size], mode="mc_infer",
-                                 rng=rng)
+    step = 64 if any(isinstance(layer, LSTM) for layer in net.layers) else 16
+    for lo in range(0, len(x), step):
+        for j in range(m):
+            logits = net.forward(x[lo:lo + step], mode="mc_infer", rng=rng)
             samples[j, lo:lo + len(logits)] = metrics._softmax(
                 logits.astype(np.float64))
     return samples
@@ -84,7 +85,8 @@ def _plain_samples(net, x, m, rng, batch_size=64):
 @pytest.mark.parametrize("method", arch.UQ_METHODS)
 @pytest.mark.parametrize("family", arch.FAMILIES)
 def test_posterior_prefix_reuse_equals_plain_loop(family, method):
-    """150 windows are 3 chunks, the last one ragged."""
+    """150 windows are 10 chunks of 16 (3 of 64 with an LSTM), the last
+    one ragged."""
     net = _family_net(family, method)
     x = np.random.default_rng(20).normal(size=(150, 6, 32))
     rng_a, rng_b = np.random.default_rng(21), np.random.default_rng(21)
@@ -99,17 +101,19 @@ def test_posterior_prefix_reuse_equals_plain_loop(family, method):
 def test_posterior_checks_every_chunk(family, method):
     net = _family_net(family, method)
     x = np.random.default_rng(22).normal(size=(150, 6, 32))
-    x[140, 3, 7] = np.nan  # in the ragged last chunk only
+    x[145, 3, 7] = np.nan  # in the ragged last chunk only, of 16 or 64
     with pytest.raises(ValueError, match="non-finite"):
         metrics.predictive_posterior(net, x, m=3)
     with pytest.raises(ShapeMismatch):
         metrics.predictive_posterior(net, x[:, :, :31], m=3)
 
 
-@pytest.mark.parametrize("method", ("none", "mc_dropout"))
-def test_posterior_float32_net_normalized(method):
+@pytest.mark.parametrize("family, method", [
+    pytest.param(f, m, id=m if f == "cnn" else f"{f}-{m}")
+    for f in arch.FAMILIES for m in arch.UQ_METHODS])
+def test_posterior_float32_net_normalized(family, method):
     """Softmax runs on float64 logits, so float32 rows sum to 1 in 1e-9."""
-    net = _family_net("cnn", method, np.float32)
+    net = _family_net(family, method, np.float32)
     x = np.random.default_rng(23).normal(size=(150, 6, 32)).astype(np.float32)
     dist = metrics.predictive_posterior(net, x, m=3,
                                         rng=np.random.default_rng(24))
@@ -137,9 +141,9 @@ def _three_block_mcd_cnn():
     return arch.build_network(cfg, 6, 32, seed=3)
 
 
-def _chunk_outer_cnn(cnn_blocks=2):
+def _wide_conv1_cnn(cnn_blocks=2):
     """An MC-dropout CNN on 32-step windows whose conv1 (9.8e4
-    multiplies per window) pays for chunk-outer."""
+    multiplies per window) is held for all passes."""
     cfg = arch.ModelConfig(family="cnn", uq="mc_dropout",
                            cnn_blocks=cnn_blocks, f1=32, f2=32, f3=32,
                            k1=16, k2=16, k3=16, max_pool=2,
@@ -148,8 +152,9 @@ def _chunk_outer_cnn(cnn_blocks=2):
 
 
 def _rows_moved_cnn():
-    """Its conv3 takes 4 rows per window: on OpenBLAS 0.3.31 with 2
-    threads some of them round differently at 16 windows than at 64."""
+    """Its conv3 takes 4 rows per window, so its products are small
+    enough that a BLAS may pick their kernel, and so round their rows,
+    by the row count of the call."""
     cfg = arch.ModelConfig(family="cnn", uq="mc_dropout", cnn_blocks=3,
                            f1=108, f2=102, f3=127, k1=8, k2=12, k3=9,
                            max_pool=4, dropout_rate=0.3)
@@ -157,16 +162,16 @@ def _rows_moved_cnn():
 
 
 @pytest.mark.parametrize("net_of, n, m, rng_of", [
-    *[(_chunk_outer_cnn, n, 3, np.random.default_rng)
+    *[(_wide_conv1_cnn, n, 3, np.random.default_rng)
       for n in (1, 15, 16, 17, 64, 65)],
-    (_chunk_outer_cnn, 65, 1, np.random.default_rng),
+    (_wide_conv1_cnn, 65, 1, np.random.default_rng),
     (_three_block_mcd_cnn, 150, 3, np.random.default_rng),
-    (lambda: _chunk_outer_cnn(3), 140, 3, np.random.default_rng),
+    (lambda: _wide_conv1_cnn(3), 140, 3, np.random.default_rng),
     (lambda: _family_net("cnn_lstm", "mc_dropout"), 81, 2,
      np.random.default_rng),
-    (_chunk_outer_cnn, 150, 3, _mt19937),
-    (_chunk_outer_cnn, 70, 2, _pcg64_holding_uint32),
-    (_chunk_outer_cnn, 150, 2, np.random.default_rng),
+    (_wide_conv1_cnn, 150, 3, _mt19937),
+    (_wide_conv1_cnn, 70, 2, _pcg64_holding_uint32),
+    (_wide_conv1_cnn, 150, 2, np.random.default_rng),
     (_rows_moved_cnn, 30, 2, np.random.default_rng),
 ], ids=["n1", "n15", "n16", "n17", "n64", "n65", "m1", "three_blocks",
         "three_blocks_chunk_outer", "cnn_lstm", "mt19937", "pcg64_uint32",
@@ -186,58 +191,27 @@ def test_posterior_edge_cases_equal_plain_loop(net_of, n, m, rng_of):
         assert draw(rng_a) == draw(rng_b)
 
 
-def _net_400(family="cnn", uq="mc_dropout"):
-    """The MC-dropout CNN of the posterior benchmark, on 400-step windows."""
-    cfg = arch.ModelConfig(family=family, uq=uq, cnn_blocks=2, f1=64,
-                           f2=64, k1=8, k2=8, max_pool=4, u1=32)
-    return arch.build_network(cfg, 6, 400, seed=0)
-
-
-@pytest.mark.parametrize("net_of, pays", [
-    (_net_400, True),
-    (lambda: _net_400(uq="none"), False),
-    (lambda: _net_400(uq="dropconnect"), False),
-    (lambda: _net_400(uq="flipout"), False),
-    (lambda: _net_400(family="fcn"), True),
-    (lambda: _net_400(family="cnn_lstm"), False),
-    (lambda: _net_400(family="lstm"), False),
-    (lambda: _family_net("cnn", "mc_dropout"), False),
-    (_chunk_outer_cnn, True),
-], ids=["cnn", "none", "dropconnect", "flipout", "fcn", "cnn_lstm", "lstm",
-        "cheap_conv1", "chunk_outer_cnn"])
-def test_chunk_outer_gate(net_of, pays, monkeypatch):
-    """Chunk-outer needs MC dropout, no LSTM and a rerun prefix costly
-    enough to pay for sub-chunk calls.  With the BLAS row check passed,
-    that decides, for 1, 64 and 162 windows alike; with it failed, no
-    network runs chunk-outer."""
-    net = net_of()
-    for kept in (True, False):
-        monkeypatch.setattr(metrics, "_rows_kept", lambda *a: kept)
-        assert [metrics._chunk_outer_fits(net, n, np.float64)
-                for n in (1, 64, 162)] == [pays and kept] * 3
-
-
-def test_rows_kept_by_the_benchmark_cnn():
-    """Every product of the benchmark CNN keeps its rows here, so its
-    posterior runs chunk-outer; a BLAS where it does not is named here."""
-    assert metrics._chunk_outer_fits(_net_400(), 162, np.float64)
-
-
 def test_posterior_memory_peak_not_above_plain_loop():
-    """conv1's output is 10.7x its input, so it is held per sub-chunk.
+    """conv1's output is 10.7x its input, and it is held per 16-window chunk.
 
-    Each 16-window sub-chunk holds its own 3.3 MB conv1 output for all
-    passes and drops it before the next one's conv1 runs.  Holding a
-    whole chunk's, or keeping any reference to it while the suffix runs,
-    would add a 13 MB conv1 output per chunk to the peak; the 64 KiB slack
-    covers only Python bookkeeping objects.  The first posterior of a
-    network shape also checks its products at chunk size (`_rows_kept`),
-    one at a time.
+    The yardstick is a plain loop of 64-window passes.  A 16-window chunk
+    holds its own 3.3 MB conv1 output for all passes, and each of its
+    passes is a quarter of a 64-window one.  Holding a 64-window chunk's
+    conv1 output would add 13 MB to the yardstick's peak; the 64 KiB
+    slack covers only Python bookkeeping objects.
     """
     cfg = arch.ModelConfig(family="cnn", uq="mc_dropout", cnn_blocks=2,
                            f1=64, f2=64, k1=8, k2=8, max_pool=4)
     net = arch.build_network(cfg, 6, 400, seed=0)
     x = np.random.default_rng(25).normal(size=(150, 6, 400))
+
+    def plain_loop():
+        samples = np.empty((3, len(x), 2))
+        rng = np.random.default_rng(0)
+        for j in range(3):
+            for lo in range(0, len(x), 64):
+                logits = net.forward(x[lo:lo + 64], mode="mc_infer", rng=rng)
+                samples[j, lo:lo + len(logits)] = metrics._softmax(logits)
 
     def peak(run):
         tracemalloc.start()
@@ -247,7 +221,7 @@ def test_posterior_memory_peak_not_above_plain_loop():
         finally:
             tracemalloc.stop()
 
-    plain = peak(lambda: _plain_samples(net, x, 3, np.random.default_rng(0)))
+    plain = peak(plain_loop)
     ours = peak(lambda: metrics.predictive_posterior(
         net, x, m=3, rng=np.random.default_rng(0)))
     assert ours <= plain + 64 * 1024, (ours, plain)
