@@ -3,8 +3,10 @@
 All three stay stochastic at inference time (mode "mc_infer") so repeated
 forward passes sample the predictive posterior; mode "infer" switches
 them off for a deterministic baseline pass.  Dropout and DropConnect use
-inverted scaling — survivors are divided by (1-p) at mask time — which
-makes every masked pass an unbiased estimate of the deterministic one.
+inverted scaling — survivors are multiplied by 2^16/t at mask time, where
+t = round((1-p)·2^16) is the keep threshold of a 16-bit random lane —
+which makes every masked pass an unbiased estimate of the deterministic
+one.  2^16/t is 1/(1-p) up to the quantization of p to 1/65536.
 """
 
 from __future__ import annotations
@@ -25,20 +27,28 @@ class NonPositiveSigma(Exception):
     pass
 
 
+def _keep_threshold(p: float) -> int:
+    """Keep threshold t of a 16-bit lane: keep where lane < t."""
+    return round((1.0 - p) * 65536)
+
+
 def _check_rate(p: float):
-    if not (0.0 <= p < 1.0):
-        raise InvalidRate(f"dropout rate must lie in [0, 1), got {p}")
+    if not (0.0 <= p < 1.0) or _keep_threshold(p) == 0:
+        raise InvalidRate(f"dropout rate must lie in [0, 1 - 2**-17), got {p}")
 
 
 class _Bernoulli:
     """The one inverted-scaling Bernoulli mask behind dropout and DropConnect.
 
     A fresh mask is drawn per pass in active modes when p > 0; otherwise
-    the tensor passes through.  Only a train pass keeps its mask for
-    backward.  The mask comes from a float64 uniform draw but is built in
-    the tensor's dtype, so a float32 pass stays float32; an mc_infer pass
-    writes the product into the mask.  Stochastic even at p = 0, as the
-    layer kind, not the rate, decides it.
+    the tensor passes through.  Each element takes one 16-bit lane of the
+    64-bit words of one `rng.integers` draw (full words on any bit
+    generator), is kept where its lane is below t = round((1-p)·2^16) and
+    is scaled by 2^16/t.  A p of at most 2^-17 rounds to t = 2^16 and
+    keeps every element.  The mask is built in the tensor's dtype, so a
+    float32 pass stays float32.  Only a train pass keeps its mask for
+    backward; an mc_infer pass writes the product into the mask.
+    Stochastic even at p = 0, as the layer kind, not the rate, decides it.
     """
 
     stochastic = True
@@ -48,8 +58,12 @@ class _Bernoulli:
         if mode in _ACTIVE_MODES and self.p > 0.0:
             if rng is None:
                 raise ValueError(f"{self.name}: active mode needs an rng")
-            keep = 1.0 - self.p
-            mask = np.divide(rng.random(v.shape) < keep, keep, dtype=v.dtype)
+            t = _keep_threshold(self.p)
+            words = rng.integers(0, 1 << 64, size=-(-v.size // 4),
+                                 dtype=np.uint64)
+            kept = words.view(np.uint16)[:v.size].reshape(v.shape) < t
+            del words  # freed before the mask is allocated
+            mask = np.multiply(kept, 65536 / t, dtype=v.dtype)
             if mode == "train":
                 self._mask = mask
                 return v * mask

@@ -11,13 +11,18 @@ RNG = np.random.default_rng(0)
 
 
 class FixedRandom:
-    """rng stub whose .random() replays a preset array."""
+    """rng stub whose .integers() returns preset 16-bit lanes as the 64-bit
+    words one full-range uint64 draw gives (zero lanes pad the last word)."""
 
-    def __init__(self, values):
-        self.values = np.asarray(values, dtype=float)
+    def __init__(self, lanes):
+        self.lanes = np.asarray(lanes, dtype=np.uint16)
 
-    def random(self, shape):
-        return self.values.reshape(shape)
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype) == (0, 1 << 64, np.uint64)
+        assert size == -(-self.lanes.size // 4)
+        padded = np.zeros(4 * size, dtype=np.uint16)
+        padded[:self.lanes.size] = self.lanes
+        return padded.view(np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -38,10 +43,11 @@ def test_dropout_off_mode_identity():
 
 
 def test_dropout_fixed_mask_arithmetic():
-    # keep-draws {0.1, 0.9} at p=0.5 -> mask {2, 0} -> [2,2] maps to [4,0]
+    # lanes {0x1000, 0xF000} at p=0.5 (t = 0x8000) -> mask {2, 0}
+    # -> [2,2] maps to [4,0]
     layer = uq.MCDropout(0.5)
     y = layer.forward(np.array([2.0, 2.0]), mode="mc_infer",
-                      rng=FixedRandom([0.1, 0.9]))
+                      rng=FixedRandom([0x1000, 0xF000]))
     np.testing.assert_allclose(y, [4.0, 0.0])
 
 
@@ -71,22 +77,101 @@ def test_dropout_stochastic_in_mc_infer():
 
 @pytest.mark.parametrize("dtype", (np.float64, np.float32))
 def test_dropout_mc_infer_bytes_pinned(dtype):
-    """mc_infer output byte-equals the draw, compare, divide and multiply
-    formula, on signed zeros, infinities, nan and a subnormal too, and
-    leaves the rng where that one draw does."""
+    """mc_infer output byte-equals the 16-bit-lane compare, scale and
+    multiply formula, on signed zeros, infinities, nan and a subnormal
+    too, and leaves the rng where that one word draw does."""
     specials = (-0.0, 0.0, np.inf, -np.inf, np.nan,
                 np.finfo(dtype).smallest_subnormal)
     v = np.random.default_rng(8).normal(size=(5, 7, 3)).astype(dtype)
     v.flat[:48] = np.tile(specials, 8)
-    keep = 1.0 - 0.3
+    t = 45875  # round(0.7 * 2**16)
     rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
     with np.errstate(invalid="ignore"):  # a dropped inf gives nan
         y = uq.MCDropout(0.3).forward(v, mode="mc_infer", rng=rng_a)
-        expect = v * np.divide(rng_b.random(v.shape) < keep, keep,
-                               dtype=v.dtype)
+        words = rng_b.integers(0, 1 << 64, size=27,  # ceil(105 / 4)
+                               dtype=np.uint64)
+        lanes = words.view(np.uint16)[:v.size].reshape(v.shape)
+        expect = v * np.multiply(lanes < t, 65536 / t, dtype=v.dtype)
     assert y.dtype == dtype
     assert y.tobytes() == expect.tobytes()
     assert rng_a.random() == rng_b.random()
+
+
+def test_rate_edges():
+    """t = round((1-p)·2^16) must lie in 1..65536."""
+    for p in (1.0 - 2.0 ** -17, 1.0 - 2.0 ** -18):  # t would be 0
+        with pytest.raises(uq.InvalidRate):
+            uq.MCDropout(p)
+        with pytest.raises(uq.InvalidRate):
+            uq.DropConnectDense(_fresh_dense(), p)
+    assert uq._keep_threshold(np.nextafter(1.0 - 2.0 ** -17, 0.0)) == 1
+    uq.MCDropout(np.nextafter(1.0 - 2.0 ** -17, 0.0))
+    # 0 < p <= 2^-17 quantizes to keep-all, still stochastic: it draws
+    x = np.random.default_rng(10).normal(size=(4, 9))
+    for p in (1e-9, 2.0 ** -17):
+        assert uq._keep_threshold(p) == 65536
+        rng = np.random.default_rng(11)
+        y = uq.MCDropout(p).forward(x, mode="mc_infer", rng=rng)
+        assert y.tobytes() == x.tobytes()
+        ref = np.random.default_rng(11)
+        ref.integers(0, 1 << 64, size=9, dtype=np.uint64)
+        np.testing.assert_equal(rng.bit_generator.state,
+                                ref.bit_generator.state)
+    # p = 0.5: t = 32768 and survivors are scaled by exactly 2.0
+    assert uq._keep_threshold(0.5) == 32768
+    for dtype in (np.float64, np.float32):
+        y = uq.MCDropout(0.5).forward(np.ones(1000, dtype=dtype),
+                                      mode="mc_infer",
+                                      rng=np.random.default_rng(12))
+        assert y.dtype == dtype
+        assert set(np.unique(y)) == {0.0, 2.0}
+
+
+_BIT_GENERATORS = {"pcg64": np.random.PCG64, "mt19937": np.random.MT19937}
+
+
+def _masking_layer(kind, shape, p):
+    """A layer and input whose train pass masks a tensor of `shape`."""
+    if kind == "dropout":
+        return uq.MCDropout(p), np.ones(shape)
+    conv = Conv1D(shape[1], shape[0], shape[2], np.random.default_rng(13))
+    return uq.DropConnectConv1D(conv, p), np.ones((1, 4, shape[1]))
+
+
+@pytest.mark.parametrize("bitgen", sorted(_BIT_GENERATORS))
+@pytest.mark.parametrize("kind", ("dropout", "dropconnect_conv"))
+@pytest.mark.parametrize("p", (0.1, 0.25, 0.5))
+def test_kept_fraction_on_every_bit_generator(p, kind, bitgen):
+    """Over 10^6 elements the kept share lies within 5 binomial sigma of
+    t/65536.  A mask from 32-bit raw MT19937 outputs in 64-bit slots keeps
+    75% at p = 0.5 (half its lanes are 0); full 64-bit words keep 50%."""
+    shape = (100, 100, 100)
+    layer, x = _masking_layer(kind, shape, p)
+    rng = np.random.Generator(_BIT_GENERATORS[bitgen](14))
+    layer.forward(x, mode="train", rng=rng)
+    assert layer._mask.shape == shape
+    n = layer._mask.size
+    q = uq._keep_threshold(p) / 65536
+    kept = np.count_nonzero(layer._mask) / n
+    assert abs(kept - q) < 5 * np.sqrt(q * (1 - q) / n)
+
+
+@pytest.mark.parametrize("bitgen", sorted(_BIT_GENERATORS))
+@pytest.mark.parametrize("kind", ("dropout", "dropconnect_conv"))
+@pytest.mark.parametrize("shape", ((1, 1, 1), (5, 7, 3)))
+def test_mask_is_one_word_draw(shape, kind, bitgen):
+    """A mask of n elements takes lanes of exactly ceil(n/4) uint64 words
+    from one `integers` draw, also when n is not a multiple of 4."""
+    layer, x = _masking_layer(kind, shape, 0.25)
+    rng = np.random.Generator(_BIT_GENERATORS[bitgen](15))
+    ref = np.random.Generator(_BIT_GENERATORS[bitgen](15))
+    layer.forward(x, mode="train", rng=rng)
+    n = int(np.prod(shape))
+    words = ref.integers(0, 1 << 64, size=-(-n // 4), dtype=np.uint64)
+    lanes = words.view(np.uint16)[:n].reshape(shape)
+    expect = np.multiply(lanes < 49152, 65536 / 49152)  # t = 0.75 * 2**16
+    assert layer._mask.tobytes() == expect.tobytes()
+    np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
 
 
 def test_dropout_backward_uses_same_mask():
@@ -127,9 +212,10 @@ def test_dropconnect_fixed_mask_arithmetic():
     base.w.value = np.array([[1.0], [1.0]])
     base.b.value = np.array([0.0])
     dc = uq.DropConnectDense(base, 0.5)
-    # mask keeps row 1, drops row 2: (1*1)/0.5 + 0 = 2
+    # lanes {0x1000, 0xF000} at t = 0x8000 keep row 1, drop row 2:
+    # 1*1*2 + 0 = 2
     y = dc.forward(np.array([[1.0, 1.0]]), mode="mc_infer",
-                   rng=FixedRandom([0.1, 0.9]))
+                   rng=FixedRandom([0x1000, 0xF000]))
     assert y[0, 0] == pytest.approx(2.0)
 
 
