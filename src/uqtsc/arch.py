@@ -8,6 +8,10 @@ present); DropConnect wraps every conv of the cnn, cnn_lstm and FCN
 bodies, the dense head in pure LSTMs, and the residual-path convs (never
 the projection shortcut) in the ResNet; Flipout replaces only the output
 dense layer.
+
+A network is one layer list and a residual block is two (its main path
+and its shortcut); every list runs through the same forward and backward
+loop, and `Network.forward(start=, stop=)` runs any slice of the stack.
 """
 
 from __future__ import annotations
@@ -156,81 +160,65 @@ def _block_dropout(config: ModelConfig, block: int,
     return None
 
 
-class ResidualBlock(Layer):
-    """Three conv-bn stages with a shortcut; relu after the addition.
+def _run(layers: list[Layer], h, mode: str, rng) -> np.ndarray:
+    """Run h through layers in order; the loop rebinds its activation, so
+    an input stays alive past its layer only where a caller keeps it."""
+    for layer in layers:
+        h = layer.forward(h, mode=mode, rng=rng)
+    return h
 
-    The shortcut is the identity when channel counts already match, else a
-    kernel-1 projection conv with its own batch norm.  Residual block
-    `block` counts as conv block `block` for UQ placement, and the block
-    is stochastic when a sublayer is.
+
+def _backprop(layers: list[Layer], d) -> np.ndarray:
+    """Run the output gradient d back through layers; return the input
+    gradient."""
+    for layer in reversed(layers):
+        d = layer.backward(d)
+    return d
+
+
+class ResidualBlock(Layer):
+    """A main path and a shortcut, added; relu after the addition.
+
+    `main` is three conv stages (conv -> [dropout] -> bn -> relu, the last
+    without its relu).  `shortcut` is empty, the identity, when channel
+    counts already match, else a kernel-1 projection conv and its batch
+    norm.  Residual block `block` counts as conv block `block` for UQ
+    placement, and the block is stochastic when a sublayer is.
     """
 
     def __init__(self, n_in: int, config: ModelConfig, block: int,
                  rng: np.random.Generator):
         self.name = name = f"r{block}"
-        self.convs: list[Conv1D] = []
-        self.bns: list[BatchNorm1D] = []
+        self.main: list[Layer] = []
         ch = n_in
         for j, (f, k) in enumerate(zip(FCN_FILTERS, FCN_KERNELS)):
-            self.convs.append(_conv(config, ch, f, k, rng, f"{name}_conv{j}"))
-            self.bns.append(BatchNorm1D(f, name=f"{name}_bn{j}"))
+            self.main += _conv_stage(config, block, ch, f, k, rng,
+                                     prefix="r", suffix=str(j))
             ch = f
+        del self.main[-1]  # the last stage's relu follows the addition
         self.out_channels = ch
-        self.dropouts = [_block_dropout(config, block, f"{name}_drop{j}")
-                         for j in range(3)]
-        if n_in != ch:
-            self.short_conv = Conv1D(n_in, ch, 1, rng, name=f"{name}_proj")
-            self.short_bn = BatchNorm1D(ch, name=f"{name}_projbn")
-        else:
-            self.short_conv = None
-            self.short_bn = None
-        self._relus = [ReLU(), ReLU()]
+        self.shortcut: list[Layer] = [] if n_in == ch else [
+            Conv1D(n_in, ch, 1, rng, name=f"{name}_proj"),
+            BatchNorm1D(ch, name=f"{name}_projbn")]
+        # the main path's convs and dropouts, which perfbench reads
+        self.convs = [l for l in self.main if isinstance(l, Conv1D)]
+        self.dropouts = [l for l in self.main if isinstance(l, uq.MCDropout)]
         self._out_mask = None
-        self.stochastic = any(layer is not None and layer.stochastic
-                              for layer in self.convs + self.dropouts)
+        self.stochastic = any(layer.stochastic for layer in self.main)
 
     def params(self):
-        out = []
-        for conv, bn in zip(self.convs, self.bns):
-            out += conv.params() + bn.params()
-        if self.short_conv is not None:
-            out += self.short_conv.params() + self.short_bn.params()
-        return out
+        return [p for layer in self.main + self.shortcut
+                for p in layer.params()]
 
     def forward(self, x, mode="train", rng=None):
-        h = x
-        for j in range(3):
-            h = self.convs[j].forward(h, mode, rng)
-            if self.dropouts[j] is not None:
-                h = self.dropouts[j].forward(h, mode, rng)
-            h = self.bns[j].forward(h, mode, rng)
-            if j < 2:
-                h = self._relus[j].forward(h, mode, rng)
-        if self.short_conv is not None:
-            short = self.short_bn.forward(
-                self.short_conv.forward(x, mode, rng), mode, rng)
-        else:
-            short = x
-        y = h + short
+        y = _run(self.main, x, mode, rng) + _run(self.shortcut, x, mode, rng)
         mask = y > 0
         self._out_mask = mask if mode == "train" else None
         return y * mask
 
     def backward(self, dy):
         dz = dy * self._out_mask
-        dh = dz
-        for j in range(2, -1, -1):
-            if j < 2:
-                dh = self._relus[j].backward(dh)
-            dh = self.bns[j].backward(dh)
-            if self.dropouts[j] is not None:
-                dh = self.dropouts[j].backward(dh)
-            dh = self.convs[j].backward(dh)
-        if self.short_conv is not None:
-            dshort = self.short_conv.backward(self.short_bn.backward(dz))
-        else:
-            dshort = dz
-        return dh + dshort
+        return _backprop(self.main, dz) + _backprop(self.shortcut, dz)
 
 
 class Network:
@@ -244,10 +232,7 @@ class Network:
         self.window_length = window_length
 
     def params(self) -> list[Param]:
-        out = []
-        for layer in self.layers:
-            out += layer.params()
-        return out
+        return [p for layer in self.layers for p in layer.params()]
 
     def named_params(self) -> list[tuple[str, np.ndarray]]:
         return [(p.name, p.value) for p in self.params()]
@@ -263,17 +248,14 @@ class Network:
 
     def forward(self, x: np.ndarray, mode: str = "train",
                 rng: np.random.Generator | None = None, start: int = 0,
-                hold=None) -> np.ndarray:
-        """Run layers[start:] on x and return their output.
+                stop: int | None = None) -> np.ndarray:
+        """Run layers[start:stop] on x and return their output.
 
         With start 0, x is a network input in the on-disk [batch, channels,
         length] layout: it is checked, then viewed as [batch, length,
         channels], the layout of every layer, without a copy.  Otherwise
-        x is the input of layer `start`, such as a held prefix output.
-        `hold`, if given, is called with the input of layer
-        `first_stochastic` (the logits if there is none) as the loop
-        reaches it.  The loop rebinds its activation, so an input stays
-        alive past its layer only where hold keeps it.
+        x is the input of layer `start`, such as the output of an earlier
+        call that stopped there.
         """
         if start == 0:
             if x.ndim != 3 or x.shape[1] != self.n_channels \
@@ -284,15 +266,7 @@ class Network:
             if not np.all(np.isfinite(x)):
                 raise ValueError("non-finite values in network input")
             x = x.transpose(0, 2, 1)
-        at = self.first_stochastic if hold is not None else -1
-        h = x
-        for i, layer in enumerate(self.layers[start:], start):
-            if i == at:
-                hold(h)
-            h = layer.forward(h, mode=mode, rng=rng)
-        if at == len(self.layers):
-            hold(h)
-        return h
+        return _run(self.layers[start:stop], x, mode, rng)
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Accumulate every parameter gradient; no input gradient is kept.
@@ -300,18 +274,12 @@ class Network:
         A first Conv1D (DropConnect included) computes only its weight and
         bias gradients.
         """
-        d = dlogits
-        for layer in reversed(self.layers[1:]):
-            d = layer.backward(d)
+        d = _backprop(self.layers[1:], dlogits)
         first = self.layers[0]
         if isinstance(first, Conv1D):
             first.backward(d, input_grad=False)
         else:
             first.backward(d)
-
-    def kl(self) -> float:
-        return sum(layer.kl() for layer in self.layers
-                   if isinstance(layer, uq.FlipoutDense))
 
     def astype(self, dtype):
         for layer in self.layers:
@@ -324,18 +292,19 @@ def _build_rng(seed: int) -> np.random.Generator:
 
 
 def _conv_stage(config: ModelConfig, block: int, n_in: int, filters: int,
-                kernel: int, rng: np.random.Generator,
-                pool: int = 0) -> list[Layer]:
-    """Conv block `block`: conv(same) -> [dropout] -> bn -> relu [-> pool]."""
+                kernel: int, rng: np.random.Generator, pool: int = 0,
+                prefix: str = "b", suffix: str = "") -> list[Layer]:
+    """Conv block `block`: conv(same) -> [dropout] -> bn -> relu [-> pool],
+    each layer named f"{prefix}{block}_{kind}{suffix}"."""
+    name = f"{prefix}{block}_{{}}{suffix}".format
     layers: list[Layer] = [_conv(config, n_in, filters, kernel, rng,
-                                 f"b{block}_conv")]
-    drop = _block_dropout(config, block, f"b{block}_drop")
+                                 name("conv"))]
+    drop = _block_dropout(config, block, name("drop"))
     if drop is not None:
         layers.append(drop)
-    layers += [BatchNorm1D(filters, name=f"b{block}_bn"),
-               ReLU(name=f"b{block}_relu")]
+    layers += [BatchNorm1D(filters, name=name("bn")), ReLU(name=name("relu"))]
     if pool:
-        layers.append(MaxPool1D(pool, name=f"b{block}_pool"))
+        layers.append(MaxPool1D(pool, name=name("pool")))
     return layers
 
 

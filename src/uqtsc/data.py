@@ -376,23 +376,14 @@ def trim_idle(log: TimeSeriesLog, speed_threshold: float,
     order with labels still aligned.  Raises AllIdle when nothing survives.
     """
     act = activity_signal(log)
-    below = act < speed_threshold
     min_run = int(math.ceil(min_gap_s * log.sample_rate_hz))
+    # starts and ends of the sub-threshold runs, alternating
+    edges = np.flatnonzero(np.diff(act < speed_threshold, prepend=False,
+                                   append=False))
     keep = np.ones(log.length, dtype=bool)
-
-    i = 0
-    n = log.length
-    while i < n:
-        if below[i]:
-            j = i
-            while j < n and below[j]:
-                j += 1
-            if j - i >= min_run:
-                keep[i:j] = False
-            i = j
-        else:
-            i += 1
-
+    for i, j in zip(edges[::2], edges[1::2]):
+        if j - i >= min_run:
+            keep[i:j] = False
     if not keep.any():
         raise AllIdle(f"log {log.log_id}: no activity above {speed_threshold}")
     if keep.all():
@@ -400,13 +391,32 @@ def trim_idle(log: TimeSeriesLog, speed_threshold: float,
     return replace(log, values=log.values[:, keep], labels=log.labels[keep])
 
 
-def _majority_label(labels: np.ndarray) -> int | None:
-    """Majority vote over a label span; exact ties vote to discard."""
-    ones = int(labels.sum())
-    zeros = labels.shape[0] - ones
-    if ones == zeros:
-        return None
-    return 1 if ones > zeros else 0
+def _cut(log: TimeSeriesLog, starts: np.ndarray, step: int, length: int,
+         generation: str) -> SequenceDataset:
+    """Windows of `length` samples `step` apart from each start.
+
+    A window's label is the majority vote over the original span
+    [start, start + step*(length-1) + 1) it covers; exact ties are
+    discarded.
+    """
+    span = step * (length - 1) + 1
+    cum = np.concatenate(([0], np.cumsum(log.labels)))
+    ones = cum[starts + span] - cum[starts]
+    kept = 2 * ones != span
+    starts = starts[kept]
+    idx = starts[:, None, None] + step * np.arange(length)
+    channels = np.arange(log.values.shape[0])[:, None]
+    return SequenceDataset(
+        # gathered in [n, channels, length] C order, the order fit_stats sums
+        windows=log.values[channels, idx],
+        labels=(2 * ones[kept] > span).astype(np.int64),
+        source_log_ids=(log.log_id,) * len(starts),
+        start_indices=starts,
+        window_length=length,
+        channel_names=log.channel_names,
+        channel_groups=log.channel_groups,
+        generation=generation,
+    )
 
 
 def slide_windows(log: TimeSeriesLog, w: int, s: int) -> SequenceDataset:
@@ -417,25 +427,8 @@ def slide_windows(log: TimeSeriesLog, w: int, s: int) -> SequenceDataset:
     """
     if w < 1 or s < 1:
         raise ValueError("window and step must be >= 1")
-    wins, labs, starts = [], [], []
-    if log.length >= w:
-        for start in range(0, log.length - w + 1, s):
-            lab = _majority_label(log.labels[start:start + w])
-            if lab is None:
-                continue
-            wins.append(log.values[:, start:start + w])
-            labs.append(lab)
-            starts.append(start)
-    return SequenceDataset(
-        windows=np.array(wins, dtype=np.float64).reshape(len(wins), len(log.channel_names), w),
-        labels=np.array(labs, dtype=np.int64),
-        source_log_ids=tuple(log.log_id for _ in wins),
-        start_indices=np.array(starts, dtype=np.int64),
-        window_length=w,
-        channel_names=log.channel_names,
-        channel_groups=log.channel_groups,
-        generation=f"sliding(w={w},s={s})",
-    )
+    return _cut(log, np.arange(0, log.length - w + 1, s), 1, w,
+                f"sliding(w={w},s={s})")
 
 
 def subsample(log: TimeSeriesLog, f: int, target_length: int) -> SequenceDataset:
@@ -449,32 +442,18 @@ def subsample(log: TimeSeriesLog, f: int, target_length: int) -> SequenceDataset
         raise ValueError("subsampling factor must be >= 2")
     if target_length < 1:
         raise ValueError("target_length must be >= 1")
-    wins, labs, starts = [], [], []
-    for phase in range(f):
-        idx = np.arange(phase, log.length, f)
-        for j in range(len(idx) // target_length):
-            sel = idx[j * target_length:(j + 1) * target_length]
-            span = log.labels[sel[0]:sel[-1] + 1]
-            lab = _majority_label(span)
-            if lab is None:
-                continue
-            wins.append(log.values[:, sel])
-            labs.append(lab)
-            starts.append(int(sel[0]))
-    if not wins:
+    # phase-major; window j of phase k starts at k + j*f*target_length
+    stride = f * target_length
+    starts = (np.arange(f)[:, None]
+              + stride * np.arange(-(-log.length // stride))).ravel()
+    starts = starts[starts < log.length - f * (target_length - 1)]
+    ds = _cut(log, starts, f, target_length,
+              f"subsample(f={f},target={target_length})")
+    if not len(ds):
         raise TooShort(
             f"log {log.log_id}: no decimated stream reaches {target_length} "
             f"samples at factor {f}")
-    return SequenceDataset(
-        windows=np.array(wins, dtype=np.float64),
-        labels=np.array(labs, dtype=np.int64),
-        source_log_ids=tuple(log.log_id for _ in wins),
-        start_indices=np.array(starts, dtype=np.int64),
-        window_length=target_length,
-        channel_names=log.channel_names,
-        channel_groups=log.channel_groups,
-        generation=f"subsample(f={f},target={target_length})",
-    )
+    return ds
 
 
 def split_logs(logs: list[TimeSeriesLog], test_fraction: float,

@@ -5,8 +5,8 @@ entropy is computed on that mean distribution (natural log).  It runs
 chunk-outer: each chunk of windows takes all M passes before the next
 chunk starts, drawing from the caller's rng in call order.  The layers
 before a network's first stochastic one are deterministic in mc_infer
-mode, so pass 0 of a chunk holds their output and passes 1..M-1 start
-from it.  ECE bins by max-probability confidence into K equal-width
+mode, so they run once per chunk and all M passes start from their
+output.  ECE bins by max-probability confidence into K equal-width
 right-inclusive bins.  Candidate selection requires both per-class F1
 scores at or above 0.9 and mean entropy at or below 0.1, boundaries
 inclusive.
@@ -88,9 +88,10 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
     LSTM, SUB_CHUNK for any other), m passes draw from rng in call order,
     so the samples and the state rng is left in are those of m plain
     `net.forward(chunk, mode="mc_infer", rng=rng)` calls per chunk.
-    Pass 0 holds the input of layer `net.first_stochastic` and passes
-    1..m-1 start from it; with a stochastic first layer every pass runs
-    the whole network.
+    One `stop=net.first_stochastic` call per chunk runs the layers before
+    the first stochastic one, which draw nothing, and the m passes start
+    from its output; with a stochastic first layer every pass runs the
+    whole network.
 
     Softmax runs on float64 logits, so float32 networks yield rows that
     sum to 1 within 1e-9.
@@ -99,28 +100,18 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
         raise ValueError("need at least one posterior sample")
     if rng is None:
         rng = np.random.default_rng(0)
-    n, start = x.shape[0], net.first_stochastic
+    n, first = x.shape[0], net.first_stochastic
     step = (EVAL_BATCH if any(isinstance(layer, LSTM) for layer in net.layers)
             else SUB_CHUNK)
     samples = np.empty((m, n, 2))
-    held = None
-
-    def hold(h):  # called inside pass 0 of the current chunk
-        nonlocal held
-        held = h
-
     for lo in range(0, n, step):
-        chunk = x[lo:lo + step]
+        h = x[lo:lo + step]
+        rows = slice(lo, lo + h.shape[0])
+        if first:
+            h = net.forward(h, mode="mc_infer", rng=rng, stop=first)
         for j in range(m):
-            if held is None:
-                logits = net.forward(chunk, mode="mc_infer", rng=rng,
-                                     hold=hold if start else None)
-            else:
-                logits = net.forward(held, mode="mc_infer", rng=rng,
-                                     start=start)
-            samples[j, lo:lo + chunk.shape[0]] = _softmax(
-                logits.astype(np.float64, copy=False))
-        held = None  # the next chunk runs and holds its own prefix
+            logits = net.forward(h, mode="mc_infer", rng=rng, start=first)
+            samples[j, rows] = _softmax(logits.astype(np.float64, copy=False))
     return PredictiveDistribution.from_samples(samples)
 
 

@@ -84,7 +84,7 @@ def train_network(net: Network, x_train, y_train, x_val, y_val,
                 net.forward(xb, mode="train", rng=rng), yb)
             net.backward(softmax_cross_entropy_backward(probs, yb))
             if flip:
-                kl_val = net.kl()
+                kl_val = sum(layer.kl() for layer in flip)
                 loss = uq.elbo_loss(loss, kl_val, kl_weight)
                 for layer in flip:
                     layer.accumulate_kl_grads(kl_weight)

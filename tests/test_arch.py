@@ -8,7 +8,7 @@ import pytest
 from conftest import load_file
 from uqtsc import arch, cli, uq
 from uqtsc.nncore import (LSTM, BatchNorm1D, Conv1D, Dense, GlobalAvgPool1D,
-                          Layer, MaxPool1D)
+                          Layer, MaxPool1D, ReLU)
 
 
 def _forward_shapes(net, x):
@@ -115,10 +115,114 @@ def test_resnet_projection_vs_identity_shortcuts():
     net = arch.build_network(arch.ModelConfig(family="resnet"), 6, 400)
     blocks = [l for l in net.layers if isinstance(l, arch.ResidualBlock)]
     assert len(blocks) == 3
-    assert blocks[0].short_conv is not None          # 6 -> 128 projection
-    assert blocks[0].short_conv.kernel == 1
-    assert blocks[1].short_conv is None              # 128 -> 128 identity
-    assert blocks[2].short_conv is None
+    proj, projbn = blocks[0].shortcut                # 6 -> 128 projection
+    assert type(proj) is Conv1D and proj.kernel == 1
+    assert (proj.n_in, proj.filters) == (6, 128)
+    assert isinstance(projbn, BatchNorm1D)
+    assert blocks[1].shortcut == []                  # 128 -> 128 identity
+    assert blocks[2].shortcut == []
+
+
+def _conv_bn_names(conv, bn):
+    return [f"{conv}_w", f"{conv}_b", f"{bn}_gamma", f"{bn}_beta",
+            f"{bn}_rmean", f"{bn}_rvar"]
+
+
+@pytest.mark.parametrize("method", ("none", "mc_dropout", "dropconnect"))
+def test_resnet_param_names_pinned(method):
+    """Checkpoints store params by name, in this order."""
+    expect = []
+    for b in (1, 2, 3):
+        for j in range(3):
+            expect += _conv_bn_names(f"r{b}_conv{j}", f"r{b}_bn{j}")
+        if b == 1:
+            expect += _conv_bn_names("r1_proj", "r1_projbn")
+    expect += ["head_w", "head_b"]
+    net = arch.build_network(arch.ModelConfig(family="resnet", uq=method),
+                             6, 64)
+    assert [name for name, _ in net.named_params()] == expect
+
+
+class _ReferenceBlock(Layer):
+    """A ResidualBlock's sublayers run by the explicit stage loop: three
+    conv -> [dropout] -> bn stages, relu between them, then the shortcut
+    (its projection conv and bn, or the identity) and relu(sum)."""
+
+    def __init__(self, block):
+        self.block = block
+        main = block.main
+        self.stages = []
+        for conv in block.convs:
+            i = main.index(conv)
+            drop = main[i + 1] if isinstance(main[i + 1], uq.MCDropout) \
+                else None
+            bn = main[i + 2 if drop else i + 1]
+            assert isinstance(bn, BatchNorm1D)
+            self.stages.append((conv, drop, bn))
+        self.relus = [ReLU(), ReLU()]
+        self.proj = block.shortcut
+
+    def params(self):
+        return self.block.params()
+
+    def forward(self, x, mode="train", rng=None):
+        h = x
+        for j, (conv, drop, bn) in enumerate(self.stages):
+            h = conv.forward(h, mode, rng)
+            if drop is not None:
+                h = drop.forward(h, mode, rng)
+            h = bn.forward(h, mode, rng)
+            if j < 2:
+                h = self.relus[j].forward(h, mode, rng)
+        short = x
+        if self.proj:
+            conv, bn = self.proj
+            short = bn.forward(conv.forward(x, mode, rng), mode, rng)
+        y = h + short
+        self.mask = y > 0
+        return y * self.mask
+
+    def backward(self, dy):
+        dz = dy * self.mask
+        dh = dz
+        for j in (2, 1, 0):
+            conv, drop, bn = self.stages[j]
+            if j < 2:
+                dh = self.relus[j].backward(dh)
+            dh = bn.backward(dh)
+            if drop is not None:
+                dh = drop.backward(dh)
+            dh = conv.backward(dh)
+        dshort = dz
+        if self.proj:
+            conv, bn = self.proj
+            dshort = conv.backward(bn.backward(dz))
+        return dh + dshort
+
+
+@pytest.mark.parametrize("method", ("none", "mc_dropout", "dropconnect"))
+def test_resnet_blocks_equal_reference_loop(method, monkeypatch):
+    """Train forward, every gradient, mc_infer logits and the rng state
+    byte-equal the explicit stage loop's, with a projection shortcut in
+    block 1 and the identity after it."""
+    monkeypatch.setattr(arch, "FCN_FILTERS", (8, 16, 8))
+    cfg = arch.ModelConfig(family="resnet", uq=method)
+    ours = arch.build_network(cfg, 6, 32, seed=5)
+    ref = arch.build_network(cfg, 6, 32, seed=5)
+    ref.layers = [_ReferenceBlock(l) if isinstance(l, arch.ResidualBlock)
+                  else l for l in ref.layers]
+    x = np.random.default_rng(12).normal(size=(4, 6, 32))
+    got, want = [], []
+    for net, out in ((ours, got), (ref, want)):
+        rng = np.random.default_rng(13)
+        y = net.forward(x, mode="train", rng=rng)
+        net.backward(np.cos(y))
+        out += [y] + [p.grad for p in net.params()]
+        out.append(net.forward(x, mode="mc_infer", rng=rng))
+        out.append(rng.integers(0, 2 ** 62, size=2))
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_resnet_forward_shapes():
@@ -240,9 +344,17 @@ def test_mc_dropout_resnet_blocks():
     cfg = arch.ModelConfig(family="resnet", uq="mc_dropout")
     net = arch.build_network(cfg, 6, 64)
     blocks = [l for l in net.layers if isinstance(l, arch.ResidualBlock)]
-    assert all(d is not None for d in blocks[0].dropouts)
-    assert all(d is not None for d in blocks[1].dropouts)
-    assert all(d is None for d in blocks[2].dropouts)
+    assert [len(b.dropouts) for b in blocks] == [3, 3, 0]
+    for block in blocks[:2]:
+        # each dropout directly follows its conv, before the batch norm
+        drops = [i for i, l in enumerate(block.main)
+                 if isinstance(l, uq.MCDropout)]
+        assert [block.main[i] for i in drops] == block.dropouts
+        assert [block.main[i - 1] for i in drops] == block.convs
+        assert all(isinstance(block.main[i + 1], BatchNorm1D)
+                   for i in drops)
+    assert not any(isinstance(l, uq.MCDropout)
+                   for b in blocks for l in b.shortcut)
 
 
 def test_dropconnect_cnn_replaces_all_convs():
@@ -276,9 +388,11 @@ def test_dropconnect_resnet_spares_shortcuts():
     net = arch.build_network(cfg, 6, 64)
     blocks = [l for l in net.layers if isinstance(l, arch.ResidualBlock)]
     for block in blocks:
+        assert len(block.convs) == 3
         assert all(isinstance(c, uq.DropConnectConv1D) for c in block.convs)
-        if block.short_conv is not None:
-            assert not isinstance(block.short_conv, uq.DropConnectConv1D)
+        assert not any(isinstance(l, uq.DropConnectConv1D)
+                       for l in block.shortcut)
+    assert type(blocks[0].shortcut[0]) is Conv1D
 
 
 @pytest.mark.parametrize("family", arch.FAMILIES)

@@ -91,6 +91,92 @@ def test_generate_bytes_pinned(tmp_path):
     assert got == GENERATE_SHA256
 
 
+# SHA-256 of every file `prepare` writes, except run_config.txt, from the
+# four logs of `generate --n-logs 4 --duration-s 6 --seed 3`, with idle
+# stretches trimmed and tie-labeled windows discarded in both modes: the
+# window cutters, the split, the statistics and the dataset format, pinned.
+PREPARE_ARGS = {
+    "window": ["--window", "48x6", "--channels", "fused"],
+    "subsample": ["--subsample", "5", "--target-length", "20",
+                  "--channels", "imu"],
+}
+PREPARE_SHA256 = {
+    "window": {
+        "stats.csv":
+            "b53b15dd048fa3c8dc1427472a7c5594c89dfab6e7466dab783fc4f49d8be648",
+        "summary.txt":
+            "bb26e49606144102aa7c87b1015bc40f6717bfdc6c16677eef7ecc25111fc40a",
+        "test_info.txt":
+            "3227c1123a50e06f2e14fdeb0611a45f93842c22691038442c24183d3df3e09c",
+        "test_labels.npy":
+            "33705251a4c387113177048c247f684e26385251dcd756c53ac4955f3e8ab3a9",
+        "test_sources.csv":
+            "5050f84e78069012e28cb19cac03798884109b672c5536785e86e17d3cb1c7bd",
+        "test_windows.npy":
+            "c2addf808ca4897d0dd52fa7d1830c961455429f8b868ec7ba9294b30a515a9b",
+        "train_info.txt":
+            "5fb42f4f7765cb427c7b9d5bc1a79be3251c7354e3a675562822a101359d8d56",
+        "train_labels.npy":
+            "72599ff40e630678dbe5c062176c6964df0b102fdf06af6673e4766c5a9ddadc",
+        "train_sources.csv":
+            "ae242ae4cd0110d24e7fe61184de6091ac5910af9c345b6b14d8190ec662a960",
+        "train_windows.npy":
+            "fd3f0ae45ca0699d78c536a21937efe88fbab915e87b0c7bc2f583e646d08f85",
+        "val_info.txt":
+            "df497dd40346b36893b8b8c4fca1b17b6b45fa40f4cc4a863cc5018781ea645b",
+        "val_labels.npy":
+            "af1593a04b211163c9d137a62a80da8ee40665aa828a862ddd32a5cb31eec628",
+        "val_sources.csv":
+            "7114d13179a7c05538d3e456cdd7beda964fdfc30bb9c21434385cf5548061d7",
+        "val_windows.npy":
+            "a65749efd880a9e18f9d1174eba29c3fdfd32abf67d3f2bb167256a7d8022992",
+    },
+    "subsample": {
+        "stats.csv":
+            "a64b7f9c0e7c625a6f72d0df3bc72ef0eac3936d9ecd8170954a788dc031421d",
+        "summary.txt":
+            "30c0dc9550a895426475ad09293d62e6d77c2810a203dc1172931f41aa02a629",
+        "test_info.txt":
+            "b98b89e272ee1506a5f5158b690c3d331b70e47de4e052480ae745b278d7db14",
+        "test_labels.npy":
+            "359b8a68caf76304010857f0cdcb406dbe74a87cc68748f15765e525be168085",
+        "test_sources.csv":
+            "6fd8f679df3474a062d2c8daeb7c647d40ebb797f4327b59b4246482d07e372f",
+        "test_windows.npy":
+            "e66ca7da8fe0f2eec24ab3af876e6ada828b3d11dbe3ba50327bea30e25181c0",
+        "train_info.txt":
+            "dc444b0ada3a00b16203995719f5277ccfa4e4162ca55ce12944652202da2a52",
+        "train_labels.npy":
+            "e74e39e6c94373c93eb0e57d99839f49c92546ac50905d205fb3927edad83e00",
+        "train_sources.csv":
+            "c228a1633d30f25ccd758b56cadca620b06a9c1be46f7e9ee566c1b473eac3e8",
+        "train_windows.npy":
+            "0909758dee5a5ce604c8747e905b66d804a4c8e468d301f2196e8cd6f959b4c3",
+        "val_info.txt":
+            "52a75bae9e2ac60455800c503d38669b0ef1add997208a05c2fd01ed481bb517",
+        "val_labels.npy":
+            "9c52e82735a979f32d670280252addafd7f121b6a13bae688141892948d65834",
+        "val_sources.csv":
+            "01caa218fc27010963979679a56be8025f6328847489fb5701f60b8521f95b38",
+        "val_windows.npy":
+            "d8d2f66bb334e5899eb53b23c107991e3d2c6c65be41a7e8068a39dd06ec3cb9",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", PREPARE_ARGS)
+def test_prepare_bytes_pinned(tmp_path, mode):
+    logs, out = tmp_path / "g", tmp_path / "p"
+    assert run("generate", "--n-logs", "4", "--duration-s", "6",
+               "--seed", "3", "--out", logs) == 0
+    assert run("prepare", "--manifest", logs / "manifest.txt",
+               *PREPARE_ARGS[mode], "--speed-threshold", "0.3",
+               "--seed", "2", "--out", out) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(out.iterdir()) if p.name != cli.RUN_CONFIG_NAME}
+    assert got == PREPARE_SHA256[mode]
+
+
 def test_generate_spec_file_and_zero_duration(tmp_path):
     spec = tmp_path / "gen.txt"
     spec.write_text("n_logs = 3\nseed = 4\nduration_s = 5.0\n")

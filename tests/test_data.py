@@ -369,6 +369,56 @@ def test_subsample_span_majority_label():
     assert set(ds.labels) == {1}
 
 
+def _loop_cut(log, starts, step, length):
+    """Per-window reference for both cutters: vote over the original span
+    (exact ties discard the window), then gather every step-th sample."""
+    wins, labs, kept = [], [], []
+    for a in starts:
+        end = a + step * (length - 1) + 1
+        ones = int(log.labels[a:end].sum())
+        if 2 * ones == end - a:
+            continue
+        wins.append(log.values[:, a:end:step])
+        labs.append(int(2 * ones > end - a))
+        kept.append(a)
+    return np.array(wins).reshape(len(wins), 6, length), labs, kept
+
+
+def _loop_subsample_starts(L, f, target):
+    starts = []
+    for phase in range(f):
+        idx = np.arange(phase, L, f)
+        starts += [int(idx[j * target]) for j in range(len(idx) // target)]
+    return starts
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=120),
+       st.integers(1, 30), st.integers(1, 9), st.integers(2, 5),
+       st.integers(1, 20))
+@settings(max_examples=80, deadline=None)
+def test_cutters_equal_window_loop(labels, w, s, f, target):
+    """Byte-equal windows (C order, so fit_stats sums the same), labels
+    and starts, ties included, in window and subsample mode."""
+    log = make_log(labels, seed=3)
+    cases = [(lambda: data.slide_windows(log, w, s),
+              range(0, log.length - w + 1, s), 1, w),
+             (lambda: data.subsample(log, f, target),
+              _loop_subsample_starts(log.length, f, target), f, target)]
+    for cut, starts, step, length in cases:
+        wins, labs, kept = _loop_cut(log, starts, step, length)
+        if step > 1 and not kept:
+            with pytest.raises(data.TooShort):
+                cut()
+            continue
+        ds = cut()
+        assert ds.windows.flags.c_contiguous
+        assert ds.windows.shape == wins.shape
+        assert ds.windows.tobytes() == wins.tobytes()
+        assert ds.labels.tolist() == labs
+        assert ds.start_indices.tolist() == kept
+        assert ds.source_log_ids == (log.log_id,) * len(kept)
+
+
 # ---------------------------------------------------------------------------
 # split_logs
 

@@ -55,9 +55,8 @@ def _conv_biases(net):
         if isinstance(layer, Conv1D):
             convs.append(layer)
         elif isinstance(layer, arch.ResidualBlock):
-            convs += layer.convs
-            if layer.short_conv is not None:
-                convs.append(layer.short_conv)
+            convs += [l for l in layer.main + layer.shortcut
+                      if isinstance(l, Conv1D)]
     return {id(c.b) for c in convs}
 
 

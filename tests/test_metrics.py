@@ -227,6 +227,35 @@ def test_posterior_memory_peak_not_above_plain_loop():
     assert ours <= plain + 64 * 1024, (ours, plain)
 
 
+def _count_forwards(net):
+    """Per-layer forward call counts, kept up to date as the net runs."""
+    counts = [0] * len(net.layers)
+    for i, layer in enumerate(net.layers):
+        def counted(*args, _i=i, _forward=layer.forward, **kwargs):
+            counts[_i] += 1
+            return _forward(*args, **kwargs)
+        layer.forward = counted
+    return counts
+
+
+@pytest.mark.parametrize("family, method, first, step", [
+    ("cnn", "mc_dropout", 1, 16),        # conv1, then dropout
+    ("cnn_lstm", "flipout", -1, 64),     # the whole trunk, then the head
+])
+def test_posterior_prefix_runs_once_per_chunk(family, method, first, step):
+    """Layers before the first stochastic one run once per chunk, the
+    rest once per pass: 150 windows are 10 chunks of 16 or 3 of 64."""
+    net = _family_net(family, method)
+    first %= len(net.layers)
+    assert net.first_stochastic == first
+    counts = _count_forwards(net)
+    x = np.random.default_rng(26).normal(size=(150, 6, 32))
+    metrics.predictive_posterior(net, x, m=3)
+    chunks = -(-150 // step)
+    assert counts == [chunks] * first + [3 * chunks] * (len(net.layers)
+                                                        - first)
+
+
 def test_posterior_rejects_unnormalized():
     with pytest.raises(metrics.NotNormalized):
         metrics.PredictiveDistribution.from_samples(np.full((2, 2, 2), 0.3))
