@@ -399,11 +399,10 @@ def build_network(config: ModelConfig, n_channels: int, window_length: int,
 # checkpoint wiring
 
 
-def save_network(net: Network, path, meta: dict[str, str] | None = None):
-    m = {"channels": str(net.n_channels),
-         "window_length": str(net.window_length)}
-    m.update(meta or {})
-    ckpt.write_checkpoint(path, net.config.to_kv_line(), net.named_params(), m)
+def save_network(net: Network, path):
+    ckpt.write_checkpoint(path, net.config.to_kv_line(), net.named_params(),
+                          {"channels": str(net.n_channels),
+                           "window_length": str(net.window_length)})
 
 
 def load_network(path) -> tuple[Network, dict[str, str]]:

@@ -23,9 +23,6 @@ from .nncore.checkpoint import CheckpointError
 
 RUN_CONFIG_NAME = "run_config.txt"
 
-GEN_DEFAULTS = {"n_logs": 20, "seed": 7, "duration_s": 30.0,
-                "class_balance": 0.5}
-
 _PATH_KEYS = ("manifest", "data", "config", "checkpoint", "reports")
 
 _COMMAND_KEYS = {
@@ -141,23 +138,7 @@ def _out_dir(args) -> Path:
 # generate
 
 
-def _read_spec_file(path) -> dict:
-    vals = _read_kv(path)
-    unknown = set(vals) - set(GEN_DEFAULTS)
-    if unknown:
-        raise data.InvalidSpec(
-            f"{path}: unknown generation keys {sorted(unknown)}")
-    out = {}
-    for key, val in vals.items():
-        out[key] = int(val) if key in ("n_logs", "seed") else float(val)
-    return out
-
-
 def cmd_generate(args):
-    spec_vals = _read_spec_file(args.spec) if args.spec else {}
-    for key, default in GEN_DEFAULTS.items():
-        if getattr(args, key) is None:
-            setattr(args, key, spec_vals.get(key, default))
     suite = data.default_synth_suite(
         n_logs=args.n_logs, seed=args.seed, duration_s=args.duration_s,
         class_balance=args.class_balance)
@@ -455,11 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write synthetic sensor logs")
-    g.add_argument("--spec", help="generation spec file (key = value)")
-    g.add_argument("--n-logs", type=int, dest="n_logs")
-    g.add_argument("--seed", type=int)
-    g.add_argument("--duration-s", type=float, dest="duration_s")
-    g.add_argument("--class-balance", type=float, dest="class_balance")
+    g.add_argument("--n-logs", type=int, default=20, dest="n_logs")
+    g.add_argument("--seed", type=int, default=7)
+    g.add_argument("--duration-s", type=float, default=30.0,
+                   dest="duration_s")
+    g.add_argument("--class-balance", type=float, default=0.5,
+                   dest="class_balance")
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 

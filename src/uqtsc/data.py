@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ JOINT_CHANNELS = tuple(
     f"w{i}_{q}" for i in range(4) for q in ("speed", "accel", "effort")
 )
 STD_FLOOR = 1e-12
+SYNTH_RATE_HZ = 100.0
 
 
 class DataError(Exception):
@@ -190,21 +191,16 @@ DEFAULT_SIGNATURES = {
 
 @dataclass
 class SynthSpec:
-    """Recipe for one synthetic log: seed, segment layout, signatures."""
+    """Recipe for one synthetic log: seed and segment layout."""
 
     log_id: str
     seed: int
     duration_s: float
     class_segments: tuple[tuple[int, float], ...]  # (class id, seconds)
-    sample_rate_hz: float = 100.0
-    signatures: dict[int, ClassSignature] = field(
-        default_factory=lambda: dict(DEFAULT_SIGNATURES))
 
     def validate(self):
         if self.duration_s <= 0:
             raise InvalidSpec("duration must be positive")
-        if self.sample_rate_hz <= 0:
-            raise InvalidSpec("sample rate must be positive")
         if not self.class_segments:
             raise InvalidSpec("at least one class segment required")
         total = 0.0
@@ -217,10 +213,6 @@ class SynthSpec:
         if abs(total - self.duration_s) > 1e-6:
             raise InvalidSpec(
                 f"segments sum to {total} s but duration is {self.duration_s} s")
-        if 0 not in self.signatures or 1 not in self.signatures:
-            raise InvalidSpec("signatures required for both classes")
-        if self.signatures[0] == self.signatures[1]:
-            raise InvalidSpec("class signatures must be distinct")
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +506,11 @@ def standardize(ds: SequenceDataset, stats: ChannelStats) -> SequenceDataset:
     return replace(ds, windows=z)
 
 
-def select_channels(obj: TimeSeriesLog | SequenceDataset, mode: str):
+def select_channels(log: TimeSeriesLog, mode: str) -> TimeSeriesLog:
     """Restrict to one input configuration: imu (6), joints (12), fused (18)."""
     if mode not in ("imu", "joints", "fused"):
         raise ValueError(f"unknown channel mode {mode!r}")
-    groups = obj.channel_groups
+    groups = log.channel_groups
     imu_idx = [i for i, g in enumerate(groups) if g == "imu"]
     joint_idx = [i for i, g in enumerate(groups) if g == "joint"]
     if mode == "imu":
@@ -531,13 +523,9 @@ def select_channels(obj: TimeSeriesLog | SequenceDataset, mode: str):
         if not joint_idx:
             raise MissingGroup("fused mode needs joint channels")
         idx = imu_idx + joint_idx
-    names = tuple(obj.channel_names[i] for i in idx)
-    grps = tuple(groups[i] for i in idx)
-    if isinstance(obj, TimeSeriesLog):
-        return replace(obj, channel_names=names, channel_groups=grps,
-                       values=obj.values[idx])
-    return replace(obj, channel_names=names, channel_groups=grps,
-                   windows=obj.windows[:, idx, :])
+    return replace(log, channel_groups=tuple(groups[i] for i in idx),
+                   channel_names=tuple(log.channel_names[i] for i in idx),
+                   values=log.values[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +544,7 @@ def _ar1(rng: np.random.Generator, n: int, coeff: float, noise_std: float) -> np
 
 def _segment_bounds(spec: SynthSpec) -> list[tuple[int, int, int]]:
     """(class, start, stop) sample ranges for each segment."""
-    rate = spec.sample_rate_hz
+    rate = SYNTH_RATE_HZ
     n_total = int(round(spec.duration_s * rate))
     bounds, cum = [], 0.0
     start = 0
@@ -577,7 +565,7 @@ def synth_generate(spec: SynthSpec) -> TimeSeriesLog:
     """
     spec.validate()
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    rate = spec.sample_rate_hz
+    rate = SYNTH_RATE_HZ
     bounds = _segment_bounds(spec)
     n = bounds[-1][2]
 
@@ -586,7 +574,7 @@ def synth_generate(spec: SynthSpec) -> TimeSeriesLog:
     values = np.zeros((len(names), n))
 
     for cls, start, stop in bounds:
-        sig = spec.signatures[cls]
+        sig = DEFAULT_SIGNATURES[cls]
         m = stop - start
         t = np.arange(m) / rate
         labels[start:stop] = cls

@@ -94,9 +94,6 @@ class ConfigSpace:
     def dims(self) -> int:
         return len(self.params)
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in self.params)
-
 
 def model_space(family: str, uq: str = "none") -> ConfigSpace:
     """The Table-style search space for one architecture family.
@@ -345,7 +342,7 @@ def _propose(trials, space, rng, random_fraction):
     return sample_random(space, rng)
 
 
-def run_bohb(objective, space: ConfigSpace, iterations: int = 20, rng=None, *,
+def run_bohb(objective, space: ConfigSpace, iterations: int, rng, *,
              min_budget: int = 16, max_budget: int = 50, eta: int = 3,
              random_fraction: float = RANDOM_FRACTION, seed_base: int = 0,
              map_fn=None):
@@ -354,8 +351,6 @@ def run_bohb(objective, space: ConfigSpace, iterations: int = 20, rng=None, *,
     Returns (trials, incumbent) where the incumbent is the best ok-trial
     at the maximum budget (None when nothing reached it).
     """
-    if rng is None:
-        rng = np.random.default_rng()
     sched = hyperband_schedule(min_budget, max_budget, eta)
     trials: list[TrialRecord] = []
     bracket_id = 0
@@ -373,18 +368,14 @@ def run_bohb(objective, space: ConfigSpace, iterations: int = 20, rng=None, *,
 
 
 def run_random_search(objective, space: ConfigSpace, total_epochs: int,
-                      budget: int, rng=None, *, seed_base: int = 0):
+                      budget: int, rng, *, seed_base: int = 0):
     """Uniform random baseline: full-budget trials until epochs run out."""
-    if rng is None:
-        rng = np.random.default_rng()
-    trials = []
-    used = 0
-    while used + budget <= total_epochs:
-        cfg = sample_random(space, rng)
-        rec = _evaluate(objective, cfg, budget, seed_base + len(trials),
-                        len(trials), -1, 0)
-        trials.append(rec)
-        used += budget
+    configs = [sample_random(space, rng)
+               for _ in range(total_epochs // budget)]
+    if not configs:
+        return [], None
+    trials = successive_halving(configs, [budget], objective,
+                                bracket_id=-1, seed_base=seed_base)
     return trials, incumbent_of(trials, budget)
 
 

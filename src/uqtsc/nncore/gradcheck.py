@@ -125,9 +125,17 @@ def layer_grad_error(layer, x: np.ndarray, rng: np.random.Generator,
     """Max relative error of a layer's input and trainable-param grads.
 
     The scalar loss is sum(forward(x) * proj) for a projection drawn from
-    rng after the first forward pass, evaluated in train mode.
+    rng after the first forward pass, evaluated in train mode.  Every
+    forward pass gets a generator seeded from the same child of rng's
+    seed sequence, so a stochastic layer draws the same noise each time;
+    spawning the child leaves rng's own stream where it was.
     """
-    y = layer.forward(x, mode="train")
+    child = rng.bit_generator.seed_seq.spawn(1)[0]
+
+    def forward():
+        return layer.forward(x, mode="train", rng=np.random.default_rng(child))
+
+    y = forward()
     proj = rng.uniform(-1.0, 1.0, size=y.shape)
     for p in layer.params():
         p.zero_grad()
@@ -136,7 +144,7 @@ def layer_grad_error(layer, x: np.ndarray, rng: np.random.Generator,
                                     for p in layer.params() if p.trainable]
 
     def loss_at() -> float:
-        return float(np.sum(layer.forward(x, mode="train") * proj))
+        return float(np.sum(forward() * proj))
 
     return max(_rel_err(grad.reshape(-1),
                         _central_diff(loss_at, value.reshape(-1), eps))

@@ -45,16 +45,17 @@ class _Bernoulli:
     64-bit words of one `rng.integers` draw (full words on any bit
     generator), is kept where its lane is below t = round((1-p)·2^16) and
     is scaled by 2^16/t.  A p of at most 2^-17 rounds to t = 2^16 and
-    keeps every element.  The mask is built in the tensor's dtype, so a
-    float32 pass stays float32.  Only a train pass keeps its mask for
-    backward; an mc_infer pass writes the product into the mask.
-    Stochastic even at p = 0, as the layer kind, not the rate, decides it.
+    keeps every element.  The scale takes the tensor's dtype, so a
+    float32 pass stays float32.  A train pass keeps its bool mask and
+    scale for backward; an mc_infer pass writes the product into a scaled
+    mask.  Stochastic even at p = 0, as the layer kind, not the rate,
+    decides it.
     """
 
     stochastic = True
 
     def _masked(self, v, mode, rng):
-        self._mask = None
+        self._kept = None
         if mode in _ACTIVE_MODES and self.p > 0.0:
             if rng is None:
                 raise ValueError(f"{self.name}: active mode needs an rng")
@@ -62,16 +63,23 @@ class _Bernoulli:
             words = rng.integers(0, 1 << 64, size=-(-v.size // 4),
                                  dtype=np.uint64)
             kept = words.view(np.uint16)[:v.size].reshape(v.shape) < t
-            del words  # freed before the mask is allocated
-            mask = np.multiply(kept, 65536 / t, dtype=v.dtype)
+            del words  # freed before the product is allocated
+            scale = v.dtype.type(65536 / t)
             if mode == "train":
-                self._mask = mask
-                return v * mask
+                self._kept, self._scale = kept, scale
+                return self._apply_mask(v)
+            mask = np.multiply(kept, scale, dtype=v.dtype)
             return np.multiply(v, mask, out=mask)
         return v
 
-    def _mask_grad(self, g):
-        return g if self._mask is None else g * self._mask
+    def _apply_mask(self, a):
+        """a * (kept * scale) of the last train pass, to the byte, with no
+        a-sized mask; a itself when that pass masked nothing."""
+        if self._kept is None:
+            return a
+        out = np.multiply(a, self._kept, dtype=a.dtype)
+        out *= self._scale
+        return out
 
 
 class MCDropout(_Bernoulli, Layer):
@@ -81,13 +89,13 @@ class MCDropout(_Bernoulli, Layer):
         _check_rate(p)
         self.name = name
         self.p = p
-        self._mask = None
+        self._kept = None
 
     def forward(self, x, mode="train", rng=None):
         return self._masked(x, mode, rng)
 
     def backward(self, dy):
-        return self._mask_grad(dy)
+        return self._apply_mask(dy)
 
 
 class _DropConnect(_Bernoulli):
@@ -102,13 +110,13 @@ class _DropConnect(_Bernoulli):
         _check_rate(p)
         vars(self).update(vars(base))
         self.p = p
-        self._mask = None
+        self._kept = None
 
     def _weight(self, mode, rng):
         return self._masked(self.w.value, mode, rng)
 
     def _backprop_weight(self, dw_eff):
-        self.w.grad += self._mask_grad(dw_eff)
+        self.w.grad += self._apply_mask(dw_eff)
 
 
 class DropConnectDense(_DropConnect, Dense):
@@ -136,8 +144,7 @@ class FlipoutDense(Layer):
 
         y = x mu_W + ((x * r) @ dW) * s + mu_b + sigma_b * e_b
 
-    In "infer" mode only the posterior means are used.  freeze_noise()
-    pins the random draws, which gradient checking needs.  The noise is
+    In "infer" mode only the posterior means are used.  The noise is
     drawn in float64 and cast to the input dtype.
     """
 
@@ -151,39 +158,26 @@ class FlipoutDense(Layer):
                            np.full((self.n_in, self.n_out), RHO_INIT))
         self.mu_b = Param(f"{self.name}_mub", base.b.value.copy())
         self.rho_b = Param(f"{self.name}_rhob", np.full(self.n_out, RHO_INIT))
-        self._frozen = None
         self._cache = None
 
     def params(self):
         return [self.mu_w, self.rho_w, self.mu_b, self.rho_b]
 
-    def freeze_noise(self, rng: np.random.Generator, batch: int):
-        self._frozen = self._draw(rng, batch)
-
-    def _draw(self, rng, batch):
-        r = rng.choice((-1.0, 1.0), size=(batch, self.n_in))
-        s = rng.choice((-1.0, 1.0), size=(batch, self.n_out))
-        e_w = rng.normal(size=(self.n_in, self.n_out))
-        e_b = rng.normal(size=self.n_out)
-        return r, s, e_w, e_b
-
     def forward(self, x, mode="train", rng=None):
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ShapeMismatch(
                 f"{self.name}: expected [batch, {self.n_in}], got {x.shape}")
-        if mode == "infer" and self._frozen is None:
+        if mode == "infer":
             self._cache = None
             return x @ self.mu_w.value + self.mu_b.value
-        if self._frozen is not None:
-            r, s, e_w, e_b = self._frozen
-            if r.shape[0] != x.shape[0]:
-                raise ShapeMismatch(f"{self.name}: frozen noise batch mismatch")
-        else:
-            if rng is None:
-                raise ValueError(f"{self.name}: active mode needs an rng")
-            r, s, e_w, e_b = self._draw(rng, x.shape[0])
-        r, s, e_w, e_b = (a.astype(x.dtype, copy=False)
-                          for a in (r, s, e_w, e_b))
+        if rng is None:
+            raise ValueError(f"{self.name}: active mode needs an rng")
+        batch = x.shape[0]
+        r, s, e_w, e_b = (a.astype(x.dtype, copy=False) for a in (
+            rng.choice((-1.0, 1.0), size=(batch, self.n_in)),
+            rng.choice((-1.0, 1.0), size=(batch, self.n_out)),
+            rng.normal(size=(self.n_in, self.n_out)),
+            rng.normal(size=self.n_out)))
         sig_w = softplus(self.rho_w.value)
         sig_b = softplus(self.rho_b.value)
         dw = sig_w * e_w
@@ -240,16 +234,15 @@ def elbo_loss(ce_loss: float, kl: float, kl_weight: float) -> float:
 
 
 def flipout_grad_check(eps: float = 1e-5, seed: int = 0) -> float:
-    """Finite-difference check of FlipoutDense with frozen noise.
+    """Finite-difference check of FlipoutDense under fixed noise.
 
     Covers the input and all four posterior parameters (mu/rho for weight
-    and bias); returns the max relative error.  Frozen noise makes train
-    and mc_infer passes identical, so the shared train-mode check applies.
+    and bias); returns the max relative error.  layer_grad_error draws
+    the same noise on every forward pass.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xF11b0)))
     layer = FlipoutDense(Dense(3, 2, rng))
     layer.rho_w.value = rng.normal(-2.5, 0.3, size=layer.rho_w.value.shape)
     layer.rho_b.value = rng.normal(-2.5, 0.3, size=layer.rho_b.value.shape)
     x = rng.normal(size=(2, 3))
-    layer.freeze_noise(rng, batch=2)
     return layer_grad_error(layer, x, rng, eps)

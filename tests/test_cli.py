@@ -178,16 +178,15 @@ def test_prepare_bytes_pinned(tmp_path, mode):
 
 
 def test_generate_spec_file_and_zero_duration(tmp_path):
+    # generation takes flags only; a spec file is a usage error
     spec = tmp_path / "gen.txt"
     spec.write_text("n_logs = 3\nseed = 4\nduration_s = 5.0\n")
-    assert run("generate", "--spec", spec, "--out", tmp_path / "ok") == 0
-    assert len(data.read_manifest(tmp_path / "ok" / "manifest.txt")) == 3
+    with pytest.raises(SystemExit) as exc:
+        run("generate", "--spec", spec, "--out", tmp_path / "spec")
+    assert exc.value.code == 2
+    assert not (tmp_path / "spec").exists()
 
-    spec.write_text("duration_s = 0.0\n")
-    assert run("generate", "--spec", spec, "--out", tmp_path / "bad") == 1
-
-    spec.write_text("volume = 11\n")
-    assert run("generate", "--spec", spec, "--out", tmp_path / "bad2") == 1
+    assert run("generate", "--duration-s", "0", "--out", tmp_path / "bad") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +313,25 @@ def test_search_rerun_identical_csv(mini, tmp_path):
                    "--seed", "6", "--out", out) == 0
         outs.append((out / "trials.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_search_workers_match_serial(tmp_path):
+    """Threaded searches save the trials and incumbent of a serial one."""
+    logs, prep = tmp_path / "logs", tmp_path / "prep"
+    assert run("generate", "--n-logs", "4", "--seed", "11", "--duration-s",
+               "6.0", "--out", logs) == 0
+    assert run("prepare", "--manifest", logs / "manifest.txt", "--window",
+               "64x32", "--channels", "imu", "--out", prep) == 0
+    saved = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"w{workers}"
+        assert run("search", "--data", prep, "--uq", "mc_dropout",
+                   "--iterations", "2", "--min-budget", "1", "--max-budget",
+                   "3", "--eta", "3", "--workers", workers, "--seed", "4",
+                   "--out", out) == 0
+        saved.append([(out / name).read_bytes()
+                      for name in ("trials.csv", "incumbent.txt")])
+    assert saved[1] == saved[0] and saved[2] == saved[0]
 
 
 def test_objective_tie_keeps_lower_seed(monkeypatch):
@@ -489,12 +507,12 @@ RUN_CONFIG_CASES = {
         "duration_s = 6.0\n"
         "class_balance = 0.25\n"
         "out = {tmp}/out\n"),
-    "generate_spec": (
-        "generate --spec gen.txt --seed 9 --out out",
+    "generate_defaults": (
+        "generate --out out",
         "command = generate\n"
-        "n_logs = 2\n"
-        "seed = 9\n"
-        "duration_s = 5.0\n"
+        "n_logs = 20\n"
+        "seed = 7\n"
+        "duration_s = 30.0\n"
         "class_balance = 0.5\n"
         "out = out\n"),
     "prepare_window": (
@@ -615,8 +633,6 @@ RUN_CONFIG_CASES = {
 def test_run_config_bytes(case, mini, tmp_path, monkeypatch):
     argv, expected = RUN_CONFIG_CASES[case]
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "gen.txt").write_text("n_logs = 2\nseed = 4\n"
-                                      "duration_s = 5.0\n")
     _handmade_report(tmp_path / "a.csv", 0.95, 0.95, 0.3, 0.05)
     _handmade_report(tmp_path / "b.csv", 0.85, 0.95, 0.02, 0.05)
     assert run(*argv.format(mini=mini, tmp=tmp_path).split()) == 0

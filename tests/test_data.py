@@ -516,7 +516,9 @@ def test_standardize_idempotent(synth_logs):
 
 def test_standardize_channel_mismatch(synth_logs):
     ds = data.slide_windows(synth_logs[0], 100, 25)
-    stats = data.fit_stats(data.select_channels(ds, "imu"))
+    imu = data.slide_windows(data.select_channels(synth_logs[0], "imu"),
+                             100, 25)
+    stats = data.fit_stats(imu)
     with pytest.raises(data.DataError):
         data.standardize(ds, stats)
 
@@ -545,13 +547,6 @@ def test_select_channels_missing_group():
     log = make_log([0, 1, 1])
     with pytest.raises(data.MissingGroup):
         data.select_channels(log, "joints")
-
-
-def test_select_channels_on_dataset(small_log):
-    ds = data.slide_windows(small_log, 100, 100)
-    imu = data.select_channels(ds, "imu")
-    assert imu.n_channels == 6
-    np.testing.assert_array_equal(imu.windows, ds.windows[:, :6, :])
 
 
 # ---------------------------------------------------------------------------
@@ -611,15 +606,6 @@ def test_synth_band_power_separation():
 ])
 def test_synth_invalid_specs(kwargs):
     spec = data.SynthSpec(log_id="bad", seed=0, **kwargs)
-    with pytest.raises(data.InvalidSpec):
-        data.synth_generate(spec)
-
-
-def test_synth_same_signatures_rejected():
-    sig = data.DEFAULT_SIGNATURES[0]
-    spec = data.SynthSpec(log_id="bad", seed=0, duration_s=2.0,
-                          class_segments=((0, 1.0), (1, 1.0)),
-                          signatures={0: sig, 1: sig})
     with pytest.raises(data.InvalidSpec):
         data.synth_generate(spec)
 

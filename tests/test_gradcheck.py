@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from uqtsc import arch
-from uqtsc.nncore import (GRAD_CHECKED_KINDS, Conv1D, grad_check,
-                          softmax_cross_entropy,
+from uqtsc.nncore import (GRAD_CHECKED_KINDS, BatchNorm1D, Conv1D,
+                          grad_check, softmax_cross_entropy,
                           softmax_cross_entropy_backward)
 from uqtsc.nncore.gradcheck import LayerSpec, _rel_err
 
@@ -48,42 +48,58 @@ def test_grad_check_multiple_seeds_smoke(seed):
 # whole networks
 
 
-def _conv_biases(net):
-    """Every conv bias; in these bodies each feeds a batch norm."""
-    convs = []
-    for layer in net.layers:
-        if isinstance(layer, Conv1D):
-            convs.append(layer)
-        elif isinstance(layer, arch.ResidualBlock):
-            convs += [l for l in layer.main + layer.shortcut
-                      if isinstance(l, Conv1D)]
-    return {id(c.b) for c in convs}
+def _bn_fed_conv_biases(layers):
+    """The bias of every conv whose next layer is a batch norm.
+
+    A dropout between the two would mask the bias per element and give
+    it a real gradient, so such a conv is left out.
+    """
+    out = set()
+    for layer, nxt in zip(layers, layers[1:] + [None]):
+        if isinstance(layer, arch.ResidualBlock):
+            out |= _bn_fed_conv_biases(layer.main)
+            out |= _bn_fed_conv_biases(layer.shortcut)
+        elif isinstance(layer, Conv1D) and isinstance(nxt, BatchNorm1D):
+            out.add(id(layer.b))
+    return out
 
 
-@pytest.mark.parametrize("family", arch.FAMILIES)
-def test_network_grad_check(family, monkeypatch):
+# a UQ-free case keeps its family's bare id
+NETWORK_CASES = [
+    pytest.param(family, uq, id=family if uq == "none" else f"{family}-{uq}")
+    for family in arch.FAMILIES for uq in arch.UQ_METHODS]
+
+
+@pytest.mark.parametrize("family, uq_method", NETWORK_CASES)
+def test_network_grad_check(family, uq_method, monkeypatch):
     """Central differences of the train-mode loss of a whole network.
 
-    Covers the input transpose, the conv -> LSTM boundary and both
+    Covers the input transpose, the conv -> LSTM boundary, both
     ResidualBlock shortcuts (a projection in block 1, the identity
-    after).  A conv bias that feeds a batch norm has a gradient of about
+    after) and every UQ layer: each forward gets a generator seeded the
+    same way, so the masks and the Flipout noise repeat on every pass.
+    A conv bias that feeds a batch norm directly has a gradient of about
     0, because the norm subtracts it again, so those are compared in
     absolute terms.
     """
     monkeypatch.setattr(arch, "FCN_FILTERS", (16, 20, 16))
-    cfg = arch.ModelConfig(family=family, cnn_blocks=2, f1=16, f2=16, k1=4,
-                           k2=5, max_pool=2, lstm_layers=2, u1=8, u2=8)
+    cfg = arch.ModelConfig(family=family, uq=uq_method, cnn_blocks=2, f1=16,
+                           f2=16, k1=4, k2=5, max_pool=2, lstm_layers=2,
+                           u1=8, u2=8)
     net = arch.build_network(cfg, 3, 16, seed=1)
     rng = np.random.default_rng(2)
     x = rng.normal(size=(4, 3, 16))
     labels = rng.integers(0, 2, size=4)
 
-    def loss_at():
-        return softmax_cross_entropy(net.forward(x, mode="train"), labels)[0]
+    def forward():
+        return net.forward(x, mode="train", rng=np.random.default_rng(3))
 
-    _, probs = softmax_cross_entropy(net.forward(x, mode="train"), labels)
+    def loss_at():
+        return softmax_cross_entropy(forward(), labels)[0]
+
+    _, probs = softmax_cross_entropy(forward(), labels)
     net.backward(softmax_cross_entropy_backward(probs, labels))
-    biases = _conv_biases(net)
+    biases = _bn_fed_conv_biases(net.layers)
     eps = 1e-6
     checked = 0
     for p in net.params():

@@ -5,6 +5,7 @@ import pytest
 
 from uqtsc import uq
 from uqtsc.nncore import Conv1D, Dense
+from uqtsc.nncore.gradcheck import layer_grad_error
 
 
 RNG = np.random.default_rng(0)
@@ -97,6 +98,31 @@ def test_dropout_mc_infer_bytes_pinned(dtype):
     assert rng_a.random() == rng_b.random()
 
 
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+def test_dropout_train_bytes_pinned(dtype):
+    """A train pass and its backward byte-equal a multiply by the scaled
+    mask (kept * 2^16/t in the tensor's dtype), on signed zeros,
+    infinities, nan and a subnormal too."""
+    specials = (-0.0, 0.0, np.inf, -np.inf, np.nan,
+                np.finfo(dtype).smallest_subnormal)
+    v = np.random.default_rng(8).normal(size=(5, 7, 3)).astype(dtype)
+    v.flat[:48] = np.tile(specials, 8)
+    g = v[::-1].copy()
+    t = 45875  # round(0.7 * 2**16)
+    layer = uq.MCDropout(0.3)
+    with np.errstate(invalid="ignore"):  # a dropped inf gives nan
+        y = layer.forward(v, mode="train", rng=np.random.default_rng(9))
+        dx = layer.backward(g)
+        words = np.random.default_rng(9).integers(0, 1 << 64, size=27,
+                                                  dtype=np.uint64)
+        lanes = words.view(np.uint16)[:v.size].reshape(v.shape)
+        mask = np.multiply(lanes < t, 65536 / t, dtype=v.dtype)
+        expect_y, expect_dx = v * mask, g * mask
+    assert y.dtype == dx.dtype == dtype
+    assert y.tobytes() == expect_y.tobytes()
+    assert dx.tobytes() == expect_dx.tobytes()
+
+
 def test_rate_edges():
     """t = round((1-p)·2^16) must lie in 1..65536."""
     for p in (1.0 - 2.0 ** -17, 1.0 - 2.0 ** -18):  # t would be 0
@@ -149,10 +175,10 @@ def test_kept_fraction_on_every_bit_generator(p, kind, bitgen):
     layer, x = _masking_layer(kind, shape, p)
     rng = np.random.Generator(_BIT_GENERATORS[bitgen](14))
     layer.forward(x, mode="train", rng=rng)
-    assert layer._mask.shape == shape
-    n = layer._mask.size
+    assert layer._kept.shape == shape
+    n = layer._kept.size
     q = uq._keep_threshold(p) / 65536
-    kept = np.count_nonzero(layer._mask) / n
+    kept = np.count_nonzero(layer._kept) / n
     assert abs(kept - q) < 5 * np.sqrt(q * (1 - q) / n)
 
 
@@ -169,8 +195,10 @@ def test_mask_is_one_word_draw(shape, kind, bitgen):
     n = int(np.prod(shape))
     words = ref.integers(0, 1 << 64, size=-(-n // 4), dtype=np.uint64)
     lanes = words.view(np.uint16)[:n].reshape(shape)
-    expect = np.multiply(lanes < 49152, 65536 / 49152)  # t = 0.75 * 2**16
-    assert layer._mask.tobytes() == expect.tobytes()
+    kept = lanes < 49152  # t = 0.75 * 2**16
+    assert layer._kept.tobytes() == kept.tobytes()
+    expect = np.multiply(kept, 65536 / 49152)
+    assert layer._apply_mask(np.ones(shape)).tobytes() == expect.tobytes()
     np.testing.assert_equal(rng.bit_generator.state, ref.bit_generator.state)
 
 
@@ -316,6 +344,29 @@ def test_flipout_grad_check_frozen_rng():
 def test_flipout_grad_check_many_seeds():
     for seed in range(5):
         assert uq.flipout_grad_check(seed=seed) < 1e-5
+
+
+# kind -> (layer from rng, input shape); inputs are channels-last
+BERNOULLI_LAYERS = {
+    "dropout": (lambda rng: uq.MCDropout(0.3), (2, 9, 3)),
+    "dropconnect_dense": (
+        lambda rng: uq.DropConnectDense(Dense(4, 3, rng), 0.3), (2, 4)),
+    "dropconnect_conv": (
+        lambda rng: uq.DropConnectConv1D(Conv1D(2, 3, 4, rng), 0.3),
+        (2, 12, 2)),
+}
+
+
+@pytest.mark.parametrize("kind", BERNOULLI_LAYERS)
+@pytest.mark.parametrize("seed", range(5))
+def test_bernoulli_layer_grad_check(kind, seed):
+    """The mask repeats on every pass of the check, so central
+    differences see the same masked function the backward pass does."""
+    build, shape = BERNOULLI_LAYERS[kind]
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD20)))
+    layer = build(rng)
+    x = rng.normal(size=shape)
+    assert layer_grad_error(layer, x, rng, 1e-5) < 1e-5
 
 
 # ---------------------------------------------------------------------------
