@@ -1,12 +1,15 @@
 """Predictive posterior, entropy, calibration, F1, and the selection gate.
 
 The posterior over classes is the mean of M stochastic forward passes;
-entropy is computed on that mean distribution (natural log).  It runs
-chunk-outer: each chunk of windows takes all M passes before the next
-chunk starts, drawing from the caller's rng in call order.  The layers
-before a network's first stochastic one are deterministic in mc_infer
-mode, so they run once per chunk and all M passes start from their
-output.  ECE bins by max-probability confidence into K equal-width
+entropy is computed on that mean distribution (natural log).  The
+windows are cut into chunks, and chunk c takes all M passes from its own
+child stream, the c-th of `rng.spawn(n_chunks)`, so chunks are
+independent: they are dealt round-robin to one lane per usable core and
+run at once, with OpenBLAS held to one thread so that every product runs
+in its lane's thread and the bytes do not depend on the lane count.  The
+layers before a network's first stochastic one are deterministic in
+mc_infer mode, so they run once per chunk and all M passes start from
+their output.  ECE bins by max-probability confidence into K equal-width
 right-inclusive bins.  Candidate selection requires both per-class F1
 scores at or above 0.9 and mean entropy at or below 0.1, boundaries
 inclusive.
@@ -14,12 +17,16 @@ inclusive.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .arch import Network
+from .nncore import blas
 from .nncore.layers import LSTM
 
 F1_THRESHOLD = 0.9
@@ -27,15 +34,17 @@ ENTROPY_THRESHOLD = 0.1
 DEFAULT_M = 10
 DEFAULT_BINS = 10
 # windows per infer-mode forward call in training.evaluate, which keeps
-# the conv window-view buffer small on wide configs, and per posterior
-# chunk of a network with an LSTM: an LSTM steps through time in Python
-# once per call, so smaller calls cost more than they save
+# the conv window-view buffer small on wide configs
 EVAL_BATCH = 64
 # windows per posterior chunk of a network without an LSTM, which holds
 # its prefix output for all passes: the posterior benchmark CNN's conv1
-# output is 10.7x its input, and 16 windows keep that under the peak of
-# a 64-window pass
-SUB_CHUNK = 16
+# output is 10.7x its input, and two lanes of 8 windows keep that under
+# the peak of a 64-window pass
+CHUNK = 8
+# windows per posterior chunk of a network with an LSTM, which steps
+# through time in Python once per call, so smaller calls cost more than
+# they save
+LSTM_CHUNK = 32
 
 OUTCOMES = ("TP", "TN", "FP", "FN")
 
@@ -84,14 +93,22 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
                          ) -> PredictiveDistribution:
     """Mean over m stochastic forward passes (mode mc_infer).
 
-    For each chunk of windows in turn (EVAL_BATCH for a network with an
-    LSTM, SUB_CHUNK for any other), m passes draw from rng in call order,
-    so the samples and the state rng is left in are those of m plain
-    `net.forward(chunk, mode="mc_infer", rng=rng)` calls per chunk.
-    One `stop=net.first_stochastic` call per chunk runs the layers before
+    The windows are cut into chunks (LSTM_CHUNK for a network with an
+    LSTM, CHUNK for any other), and chunk c draws from the c-th child of
+    `rng.spawn(n_chunks)`, so its samples are those of m plain
+    `net.forward(chunk, mode="mc_infer", rng=child)` calls.  rng itself
+    draws nothing; only its count of spawned children moves.  One
+    `stop=net.first_stochastic` call per chunk runs the layers before
     the first stochastic one, which draw nothing, and the m passes start
     from its output; with a stochastic first layer every pass runs the
     whole network.
+
+    The whole call holds OpenBLAS to one thread (`blas.one_thread`), and
+    the chunks are dealt round-robin to one lane per usable core, at
+    most one per chunk: lane 0 runs in the calling thread, the others on
+    a pool joined before the call returns, and an exception in any lane
+    is raised here.  Where no OpenBLAS is found, one lane runs them all.
+    The samples are the same bytes for any lane count.
 
     Softmax runs on float64 logits, so float32 networks yield rows that
     sum to 1 within 1e-9.
@@ -101,18 +118,59 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
     if rng is None:
         rng = np.random.default_rng(0)
     n, first = x.shape[0], net.first_stochastic
-    step = (EVAL_BATCH if any(isinstance(layer, LSTM) for layer in net.layers)
-            else SUB_CHUNK)
+    step = (LSTM_CHUNK if any(isinstance(layer, LSTM) for layer in net.layers)
+            else CHUNK)
+    starts = range(0, n, step)
+    streams = rng.spawn(len(starts))
     samples = np.empty((m, n, 2))
-    for lo in range(0, n, step):
+
+    def run_chunk(c):
+        lo, child = starts[c], streams[c]
         h = x[lo:lo + step]
         rows = slice(lo, lo + h.shape[0])
         if first:
-            h = net.forward(h, mode="mc_infer", rng=rng, stop=first)
+            h = net.forward(h, mode="mc_infer", rng=child, stop=first)
         for j in range(m):
-            logits = net.forward(h, mode="mc_infer", rng=rng, start=first)
+            logits = net.forward(h, mode="mc_infer", rng=child, start=first)
             samples[j, rows] = _softmax(logits.astype(np.float64, copy=False))
+
+    with blas.one_thread() as pinned:
+        lanes = min(_usable_cores(), len(starts)) if pinned else 1
+        _deal(run_chunk, len(starts), lanes)
     return PredictiveDistribution.from_samples(samples)
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on (Linux, where OpenBLAS is found)."""
+    return len(os.sched_getaffinity(0))
+
+
+def _deal(work, n_items: int, lanes: int) -> None:
+    """Run work(i) for every i < n_items, dealt round-robin to `lanes`
+    lanes: lane 0 in this thread, the others on a pool joined before this
+    returns.  A lane's exception is raised here, and the other lanes stop
+    before their next item."""
+    if lanes <= 1:
+        for i in range(n_items):
+            work(i)
+        return
+    failed = threading.Event()
+
+    def lane(k):
+        try:
+            for i in range(k, n_items, lanes):
+                if failed.is_set():
+                    return
+                work(i)
+        except BaseException:
+            failed.set()
+            raise
+
+    with ThreadPoolExecutor(lanes - 1) as pool:
+        helpers = [pool.submit(lane, k) for k in range(1, lanes)]
+        lane(0)
+        for future in helpers:
+            future.result()
 
 
 def predictive_entropy(probs: np.ndarray) -> float | np.ndarray:

@@ -3,8 +3,9 @@
 Every layer the terrain-classification architectures need — dense, 1-D
 convolution, batch norm, pooling, LSTM, softmax cross-entropy — with
 hand-written backward passes, Adam, finite-difference gradient checking,
-and a versioned text checkpoint format.  No autodiff graph: each layer
-caches what its backward pass needs.
+a versioned text checkpoint format, and `blas.one_thread()`, which holds
+numpy's OpenBLAS to one thread.  No autodiff graph: each layer caches
+what its backward pass needs.
 """
 
 from .layers import (

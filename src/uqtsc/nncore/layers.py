@@ -14,7 +14,10 @@ regularizers on — that distinction belongs to the uq layers, plain layers
 treat it like infer except batch norm, which always uses running stats
 outside train).  Training backpropagates only train-mode passes, so no
 layer caches anything outside train: an infer or mc_infer pass clears
-the cache, and nothing but the Params stays held between passes.
+the cache, and nothing but the Params stays held between passes.  An
+infer or mc_infer pass reads its layers and writes nothing to them that
+another pass needs, so several threads may run such passes on one
+network at once.
 """
 
 from __future__ import annotations

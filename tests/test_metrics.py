@@ -1,12 +1,14 @@
 """Posterior, entropy, ECE, F1, and the selection gate against oracles."""
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from uqtsc import arch, metrics
-from uqtsc.nncore import LSTM, ShapeMismatch
+from uqtsc.nncore import LSTM, ShapeMismatch, blas
 
 
 # ---------------------------------------------------------------------------
@@ -70,22 +72,36 @@ def _family_net(family, method, dtype=np.float64):
 
 
 def _plain_samples(net, x, m, rng):
-    """m full forward passes per chunk, chunk-outer, as the reference:
-    64 windows per chunk for a network with an LSTM, 16 otherwise."""
+    """m full forward passes per chunk, one chunk after another, as the
+    reference: 32 windows per chunk for a network with an LSTM, 8
+    otherwise, and chunk c draws from the c-th child of rng.spawn.  Its
+    products run on one OpenBLAS thread, as the posterior's do."""
     samples = np.empty((m, len(x), 2))
-    step = 64 if any(isinstance(layer, LSTM) for layer in net.layers) else 16
-    for lo in range(0, len(x), step):
-        for j in range(m):
-            logits = net.forward(x[lo:lo + step], mode="mc_infer", rng=rng)
-            samples[j, lo:lo + len(logits)] = metrics._softmax(
-                logits.astype(np.float64))
+    step = 32 if any(isinstance(layer, LSTM) for layer in net.layers) else 8
+    starts = range(0, len(x), step)
+    with blas.one_thread():
+        for lo, child in zip(starts, rng.spawn(len(starts))):
+            for j in range(m):
+                logits = net.forward(x[lo:lo + step], mode="mc_infer",
+                                     rng=child)
+                samples[j, lo:lo + len(logits)] = metrics._softmax(
+                    logits.astype(np.float64))
     return samples
+
+
+def _next_draws_agree(rng_a, rng_b):
+    """The next 32-bit draw (buffered or not), the next double and the
+    next spawned child agree."""
+    for draw in (lambda r: r.integers(2 ** 32, dtype=np.uint32),
+                 lambda r: r.random(),
+                 lambda r: r.spawn(1)[0].random()):
+        assert draw(rng_a) == draw(rng_b)
 
 
 @pytest.mark.parametrize("method", arch.UQ_METHODS)
 @pytest.mark.parametrize("family", arch.FAMILIES)
 def test_posterior_prefix_reuse_equals_plain_loop(family, method):
-    """150 windows are 10 chunks of 16 (3 of 64 with an LSTM), the last
+    """150 windows are 19 chunks of 8 (5 of 32 with an LSTM), the last
     one ragged."""
     net = _family_net(family, method)
     x = np.random.default_rng(20).normal(size=(150, 6, 32))
@@ -93,17 +109,22 @@ def test_posterior_prefix_reuse_equals_plain_loop(family, method):
     dist = metrics.predictive_posterior(net, x, m=3, rng=rng_a)
     expect = _plain_samples(net, x, 3, rng_b)
     assert dist.samples.tobytes() == expect.tobytes()
-    assert rng_a.random() == rng_b.random()
+    _next_draws_agree(rng_a, rng_b)
 
 
 @pytest.mark.parametrize("method", arch.UQ_METHODS)
 @pytest.mark.parametrize("family", arch.FAMILIES)
-def test_posterior_checks_every_chunk(family, method):
+def test_posterior_checks_every_chunk(family, method, monkeypatch):
+    """Two lanes: row 145 sits in the ragged last chunk, of 8 or 32, which
+    lane 0 runs; row 125 in chunk 15 of 8 or chunk 3 of 32, which lane 1
+    runs."""
+    monkeypatch.setattr(metrics, "_usable_cores", lambda: 2)
     net = _family_net(family, method)
-    x = np.random.default_rng(22).normal(size=(150, 6, 32))
-    x[145, 3, 7] = np.nan  # in the ragged last chunk only, of 16 or 64
-    with pytest.raises(ValueError, match="non-finite"):
-        metrics.predictive_posterior(net, x, m=3)
+    for row in (145, 125):
+        x = np.random.default_rng(22).normal(size=(150, 6, 32))
+        x[row, 3, 7] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            metrics.predictive_posterior(net, x, m=3)
     with pytest.raises(ShapeMismatch):
         metrics.predictive_posterior(net, x[:, :, :31], m=3)
 
@@ -163,7 +184,7 @@ def _rows_moved_cnn():
 
 @pytest.mark.parametrize("net_of, n, m, rng_of", [
     *[(_wide_conv1_cnn, n, 3, np.random.default_rng)
-      for n in (1, 15, 16, 17, 64, 65)],
+      for n in (1, 7, 8, 9, 15, 16, 17, 64, 65)],
     (_wide_conv1_cnn, 65, 1, np.random.default_rng),
     (_three_block_mcd_cnn, 150, 3, np.random.default_rng),
     (lambda: _wide_conv1_cnn(3), 140, 3, np.random.default_rng),
@@ -173,12 +194,11 @@ def _rows_moved_cnn():
     (_wide_conv1_cnn, 70, 2, _pcg64_holding_uint32),
     (_wide_conv1_cnn, 150, 2, np.random.default_rng),
     (_rows_moved_cnn, 30, 2, np.random.default_rng),
-], ids=["n1", "n15", "n16", "n17", "n64", "n65", "m1", "three_blocks",
-        "three_blocks_chunk_outer", "cnn_lstm", "mt19937", "pcg64_uint32",
-        "ragged_6_window_sub_chunk", "rows_moved_by_blas"])
+], ids=["n1", "n7", "n8", "n9", "n15", "n16", "n17", "n64", "n65", "m1",
+        "three_blocks", "three_blocks_chunk_outer", "cnn_lstm", "mt19937",
+        "pcg64_uint32", "ragged_6_window_sub_chunk", "rows_moved_by_blas"])
 def test_posterior_edge_cases_equal_plain_loop(net_of, n, m, rng_of):
-    """Byte-equal samples, and the rng left where the plain loop leaves it:
-    the next 32-bit draw (buffered or not) and the next double agree."""
+    """Byte-equal samples, and the rng left where the plain loop leaves it."""
     net = net_of()
     length = net.window_length
     x = np.random.default_rng(26).normal(size=(n, 6, length))
@@ -186,20 +206,126 @@ def test_posterior_edge_cases_equal_plain_loop(net_of, n, m, rng_of):
     dist = metrics.predictive_posterior(net, x, m=m, rng=rng_a)
     expect = _plain_samples(net, x, m, rng_b)
     assert dist.samples.tobytes() == expect.tobytes()
-    for draw in (lambda r: r.integers(2 ** 32, dtype=np.uint32),
-                 lambda r: r.random()):
-        assert draw(rng_a) == draw(rng_b)
+    _next_draws_agree(rng_a, rng_b)
 
 
-def test_posterior_memory_peak_not_above_plain_loop():
-    """conv1's output is 10.7x its input, and it is held per 16-window chunk.
+def _spy(net, probe):
+    """The set of probe() values seen at every net.forward call, in any
+    thread."""
+    forward, seen = net.forward, set()
 
-    The yardstick is a plain loop of 64-window passes.  A 16-window chunk
-    holds its own 3.3 MB conv1 output for all passes, and each of its
-    passes is a quarter of a 64-window one.  Holding a 64-window chunk's
-    conv1 output would add 13 MB to the yardstick's peak; the 64 KiB
-    slack covers only Python bookkeeping objects.
+    def spy(*args, **kwargs):
+        seen.add(probe())
+        return forward(*args, **kwargs)
+
+    net.forward = spy
+    return seen
+
+
+@pytest.mark.parametrize("family, method", [
+    ("cnn", "mc_dropout"), ("cnn", "dropconnect"), ("cnn_lstm", "flipout")])
+def test_posterior_bytes_do_not_depend_on_lanes(family, method, monkeypatch):
+    """150 windows are 19 chunks of 8 or 5 of 32; 1, 2 and 3 lanes give
+    the same bytes.  Lane 0 runs in the calling thread; with OpenBLAS
+    loaded, the other lanes run on a pool, which may reuse a thread whose
+    lane is done."""
+    net = _family_net(family, method)
+    x = np.random.default_rng(28).normal(size=(150, 6, 32))
+    threads = _spy(net, threading.get_ident)
+    runs = []
+    for lanes in (1, 2, 3):
+        monkeypatch.setattr(metrics, "_usable_cores", lambda: lanes)
+        threads.clear()
+        runs.append(metrics.predictive_posterior(
+            net, x, m=3, rng=np.random.default_rng(29)).samples.tobytes())
+        assert threading.get_ident() in threads
+        if lanes > 1 and blas._openblas():
+            assert 1 < len(threads) <= lanes
+        else:
+            assert len(threads) == 1
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.fixture
+def openblas_at_two():
+    """OpenBLAS's (set, get) thread-count calls, with 2 threads set, so a
+    call that leaves it at 1 shows; the count found is restored after."""
+    api = blas._openblas()
+    if api is None:
+        pytest.skip("no OpenBLAS loaded")
+    set_threads, get_threads = api
+    before = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(before)
+
+
+def test_posterior_restores_blas_threads(openblas_at_two, monkeypatch):
+    """One thread inside every forward, single-window calls included, and
+    the caller's count after a normal call and after a chunk raised."""
+    get_threads = openblas_at_two
+    net = _family_net("cnn", "mc_dropout")
+    seen = _spy(net, get_threads)
+    monkeypatch.setattr(metrics, "_usable_cores", lambda: 2)
+    x = np.random.default_rng(30).normal(size=(40, 6, 32))
+    for windows in (x[:1], x):
+        metrics.predictive_posterior(net, windows, m=2)
+        assert seen == {1}
+        assert get_threads() == 2
+    x[12, 0, 0] = np.nan  # chunk 1, which lane 1 runs
+    with pytest.raises(ValueError, match="non-finite"):
+        metrics.predictive_posterior(net, x, m=2)
+    assert get_threads() == 2
+
+
+def test_posterior_concurrent_callers_restore_blas_threads(openblas_at_two,
+                                                           monkeypatch):
+    """Four threads in the posterior at once, two lanes each, under a short
+    switch interval: every forward runs at one OpenBLAS thread, each
+    caller gets its plain-loop bytes, and the count is restored when all
+    have left."""
+    get_threads = openblas_at_two
+    monkeypatch.setattr(metrics, "_usable_cores", lambda: 2)
+    net = _family_net("cnn", "mc_dropout")
+    seen = _spy(net, get_threads)
+    x = np.random.default_rng(31).normal(size=(64, 6, 32))
+    start = threading.Barrier(4)
+    out = [None] * 4
+
+    def call(i):
+        start.wait()
+        out[i] = metrics.predictive_posterior(
+            net, x, m=3, rng=np.random.default_rng(32 + i)).samples
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert seen == {1}
+    assert get_threads() == 2
+    for i in range(4):
+        expect = _plain_samples(net, x, 3, np.random.default_rng(32 + i))
+        assert out[i].tobytes() == expect.tobytes()
+
+
+def test_posterior_memory_peak_not_above_plain_loop(monkeypatch):
+    """conv1's output is 10.7x its input, and it is held per 8-window chunk.
+
+    The yardstick is a plain loop of 64-window passes.  Two lanes run at
+    once; each 8-window chunk holds its own 1.6 MB conv1 output for all
+    passes, and each of its passes is an eighth of a 64-window one.
+    Holding a 64-window chunk's conv1 output would add 13 MB to the
+    yardstick's peak; the 64 KiB slack covers only Python bookkeeping
+    objects.
     """
+    monkeypatch.setattr(metrics, "_usable_cores", lambda: 2)
     cfg = arch.ModelConfig(family="cnn", uq="mc_dropout", cnn_blocks=2,
                            f1=64, f2=64, k1=8, k2=8, max_pool=4)
     net = arch.build_network(cfg, 6, 400, seed=0)
@@ -228,23 +354,26 @@ def test_posterior_memory_peak_not_above_plain_loop():
 
 
 def _count_forwards(net):
-    """Per-layer forward call counts, kept up to date as the net runs."""
+    """Per-layer forward call counts, kept up to date as the net runs, in
+    any number of threads."""
     counts = [0] * len(net.layers)
+    lock = threading.Lock()
     for i, layer in enumerate(net.layers):
         def counted(*args, _i=i, _forward=layer.forward, **kwargs):
-            counts[_i] += 1
+            with lock:
+                counts[_i] += 1
             return _forward(*args, **kwargs)
         layer.forward = counted
     return counts
 
 
 @pytest.mark.parametrize("family, method, first, step", [
-    ("cnn", "mc_dropout", 1, 16),        # conv1, then dropout
-    ("cnn_lstm", "flipout", -1, 64),     # the whole trunk, then the head
+    ("cnn", "mc_dropout", 1, 8),         # conv1, then dropout
+    ("cnn_lstm", "flipout", -1, 32),     # the whole trunk, then the head
 ])
 def test_posterior_prefix_runs_once_per_chunk(family, method, first, step):
     """Layers before the first stochastic one run once per chunk, the
-    rest once per pass: 150 windows are 10 chunks of 16 or 3 of 64."""
+    rest once per pass: 150 windows are 19 chunks of 8 or 5 of 32."""
     net = _family_net(family, method)
     first %= len(net.layers)
     assert net.first_stochastic == first
