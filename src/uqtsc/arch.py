@@ -12,6 +12,9 @@ dense layer.
 A network is one layer list and a residual block is two (its main path
 and its shortcut); every list runs through the same forward and backward
 loop, and `Network.forward(start=, stop=)` runs any slice of the stack.
+Outside train mode a network runs its inference plan: every
+BatchNorm1D -> ReLU -> MaxPool1D run pools first, so batch norm and relu
+touch 1/p of the data, with the same values (see `_pool_first`).
 """
 
 from __future__ import annotations
@@ -168,6 +171,40 @@ def _run(layers: list[Layer], h, mode: str, rng) -> np.ndarray:
     return h
 
 
+def _fused_starts(layers: list[Layer]) -> tuple[int, ...]:
+    """Index of every BatchNorm1D -> ReLU -> MaxPool1D run in layers."""
+    return tuple(i for i in range(len(layers) - 2)
+                 if isinstance(layers[i], BatchNorm1D)
+                 and isinstance(layers[i + 1], ReLU)
+                 and isinstance(layers[i + 2], MaxPool1D))
+
+
+def _pool_first(bn: BatchNorm1D, relu: ReLU, pool: MaxPool1D, z,
+                mode: str) -> np.ndarray:
+    """pool(relu(bn(z))) outside train, with bn and relu run on pooled z.
+
+    Outside train bn is a fixed per-channel map (subtract, times ivar,
+    times gamma, plus beta) whose every step rounds monotonically, so it
+    is non-decreasing where gamma >= 0 and non-increasing where gamma < 0;
+    relu is non-decreasing.  So max-pooling z on the first channels and
+    min-pooling it on the others, as s * pool(s * z) with s the sign of
+    gamma (exact), then running bn and relu gives the same values.  Only
+    the sign of a zero can differ: where a window's largest bn output is
+    exactly +0 and an earlier position's is negative, this returns +0 and
+    the unfused order -0, the first of its tied relu zeros.  gamma is
+    read on every call, as it moves between the validation passes of a
+    training run.
+    """
+    negative = bn.gamma.value < 0
+    if negative.any():
+        s = np.where(negative, -1, 1).astype(z.dtype)
+        h = pool.forward(z * s, mode=mode)
+        h *= s
+    else:
+        h = pool.forward(z, mode=mode)
+    return relu.forward(bn.forward(h, mode=mode), mode=mode)
+
+
 def _backprop(layers: list[Layer], d) -> np.ndarray:
     """Run the output gradient d back through layers; return the input
     gradient."""
@@ -222,7 +259,12 @@ class ResidualBlock(Layer):
 
 
 class Network:
-    """An ordered layer stack plus the config that built it."""
+    """An ordered layer stack plus the config that built it.
+
+    Its inference plan, the start index of every BatchNorm1D -> ReLU ->
+    MaxPool1D run in the stack, is found whenever `layers` is set; it
+    holds layer indices only, so passes store nothing on the network.
+    """
 
     def __init__(self, layers: list[Layer], config: ModelConfig,
                  n_channels: int, window_length: int):
@@ -230,6 +272,15 @@ class Network:
         self.config = config
         self.n_channels = n_channels
         self.window_length = window_length
+
+    @property
+    def layers(self) -> list[Layer]:
+        return self._layers
+
+    @layers.setter
+    def layers(self, layers: list[Layer]):
+        self._layers = layers
+        self._fused = _fused_starts(layers)
 
     def params(self) -> list[Param]:
         return [p for layer in self.layers for p in layer.params()]
@@ -255,7 +306,10 @@ class Network:
         length] layout: it is checked, then viewed as [batch, length,
         channels], the layout of every layer, without a copy.  Otherwise
         x is the input of layer `start`, such as the output of an earlier
-        call that stopped there.
+        call that stopped there.  Outside train mode, every BatchNorm1D ->
+        ReLU -> MaxPool1D run that lies whole inside the slice pools
+        first (`_pool_first`); a run that start or stop cuts runs layer
+        by layer.
         """
         if start == 0:
             if x.ndim != 3 or x.shape[1] != self.n_channels \
@@ -266,7 +320,16 @@ class Network:
             if not np.all(np.isfinite(x)):
                 raise ValueError("non-finite values in network input")
             x = x.transpose(0, 2, 1)
-        return _run(self.layers[start:stop], x, mode, rng)
+        layers = self.layers
+        if mode == "train":
+            return _run(layers[start:stop], x, mode, rng)
+        start, stop, _ = slice(start, stop).indices(len(layers))
+        for lo in self._fused:
+            if start <= lo and lo + 3 <= stop:
+                x = _run(layers[start:lo], x, mode, rng)
+                x = _pool_first(*layers[lo:lo + 3], x, mode)
+                start = lo + 3
+        return _run(layers[start:stop], x, mode, rng)
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Accumulate every parameter gradient; no input gradient is kept.

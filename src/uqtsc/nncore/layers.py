@@ -376,12 +376,11 @@ class ReLU(Layer):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e) where z >= 0, else e / (1 + e), with e = exp(-|z|),
+    which never overflows; branch-free, so one call covers every gate."""
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 class LSTM(Layer):
@@ -428,10 +427,9 @@ class LSTM(Layer):
             c_prev = np.empty((t_len, bsz, u), dtype=x.dtype)
         for t in range(t_len):
             z = x[:, t] @ self.wx.value + h @ self.wh.value + self.b.value
-            i = _sigmoid(z[:, :u])
-            f = _sigmoid(z[:, u:2 * u])
+            gate = _sigmoid(z)  # the candidate's columns go unused
+            i, f, o = gate[:, :u], gate[:, u:2 * u], gate[:, 3 * u:]
             g = np.tanh(z[:, 2 * u:3 * u])
-            o = _sigmoid(z[:, 3 * u:])
             if train:
                 c_prev[t] = c
                 np.concatenate([i, f, g, o], axis=1, out=gates[t])

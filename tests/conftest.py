@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uqtsc import data
+from uqtsc import arch, data
+from uqtsc.nncore import BatchNorm1D
 
 
 def pytest_collection_modifyitems(items):
@@ -26,6 +27,26 @@ def load_file(relpath: str):
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def perturbed_net(family, method, dtype=np.float64, seed=2):
+    """A 2-block, pool-2 net whose batch norms look trained: 5 of 16
+    gammas negative (a fresh net's are all 1, which never min-pools),
+    running means shifted, betas and running variances moved."""
+    cfg = arch.ModelConfig(family=family, uq=method, cnn_blocks=2, f1=16,
+                           f2=16, k1=4, k2=4, max_pool=2, u1=8,
+                           dropout_rate=0.25)
+    net = arch.build_network(cfg, 6, 32, seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    for layer in net.layers:
+        if isinstance(layer, BatchNorm1D):
+            c = layer.n_ch
+            sign = np.where(rng.permutation(c) < round(0.3 * c), -1.0, 1.0)
+            layer.gamma.value = sign * rng.uniform(0.5, 1.5, c)
+            layer.beta.value = rng.normal(0.0, 0.3, c)
+            layer.running_mean.value = rng.normal(0.0, 0.5, c)
+            layer.running_var.value = rng.uniform(0.5, 2.0, c)
+    return net.astype(dtype)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import load_file
+from conftest import load_file, perturbed_net
 from uqtsc import arch, cli, uq
 from uqtsc.nncore import (LSTM, BatchNorm1D, Conv1D, Dense, GlobalAvgPool1D,
                           Layer, MaxPool1D, ReLU)
@@ -497,6 +497,120 @@ def test_strip_uq_recovers_deterministic_forward(family, method):
     wrapped = arch.build_network(cfg2, 6, 64, seed=9)
     np.testing.assert_allclose(wrapped.forward(x, mode="infer"), expect,
                                atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# inference plan: BatchNorm1D -> ReLU -> MaxPool1D pools first outside train
+
+
+def unfused(net, x, mode, rng=None, start=0, stop=None):
+    """layers[start:stop] one by one, as train mode runs them."""
+    h = x.transpose(0, 2, 1) if start == 0 else x
+    return arch._run(net.layers[start:stop], h, mode, rng)
+
+
+PLAN_CASES = [pytest.param(f, m, d, id=f"{f}-{m}-{np.dtype(d).name}")
+              for f in ("cnn", "cnn_lstm") for m in arch.UQ_METHODS
+              for d in (np.float64, np.float32)]
+
+
+@pytest.mark.parametrize("family, method, dtype", PLAN_CASES)
+def test_plan_logits_bytes_equal_unfused(family, method, dtype):
+    """infer logits, and an mc_infer pass and the rng state after it, are
+    the layer-by-layer bytes; both blocks min-pool some channels."""
+    net = perturbed_net(family, method, dtype)
+    assert net._fused == ((2, 7) if method == "mc_dropout" else (1, 5))
+    assert all((net.layers[i].gamma.value < 0).any() for i in net._fused)
+    x = np.random.default_rng(41).normal(size=(9, 6, 32)).astype(dtype)
+    got = net.forward(x, mode="infer")
+    assert got.dtype == dtype
+    assert got.tobytes() == unfused(net, x, "infer").tobytes()
+    rng_a, rng_b = np.random.default_rng(42), np.random.default_rng(42)
+    got = net.forward(x, mode="mc_infer", rng=rng_a)
+    assert got.tobytes() == unfused(net, x, "mc_infer", rng_b).tobytes()
+    assert rng_a.random() == rng_b.random()
+
+
+def _spy_lengths(net):
+    """The time length of every input each BatchNorm1D, ReLU and MaxPool1D
+    of net sees, by layer index, from a spy set on the layer instance, so
+    the plan's calls are counted as well as the layer loop's."""
+    seen = {}
+    for i, layer in enumerate(net.layers):
+        if isinstance(layer, (BatchNorm1D, ReLU, MaxPool1D)):
+            def spy(x, *args, _i=i, _forward=layer.forward, **kwargs):
+                seen[_i].append(x.shape[1])
+                return _forward(x, *args, **kwargs)
+            seen[i] = []
+            layer.forward = spy
+    return seen
+
+
+@pytest.mark.parametrize("start, stop", ((3, None), (0, 3), (0, 8), (4, 10)))
+def test_plan_step_cut_by_start_or_stop_runs_unfused(start, stop):
+    """Layers 2-4 and 7-9 of an MC-dropout CNN are its fused runs.  A
+    slice that cuts one runs it layer by layer, so its batch norm and
+    relu see the unpooled 32 or 16 steps; a run whole inside the slice
+    still pools first, to 16 or 8.  Either way the bytes are the
+    layer-by-layer ones."""
+    net = perturbed_net("cnn", "mc_dropout")
+    x = np.random.default_rng(43).normal(size=(5, 6, 32))
+    if start:
+        x = unfused(net, x, "mc_infer", np.random.default_rng(44), stop=start)
+    want = unfused(net, x, "mc_infer", np.random.default_rng(45), start,
+                   stop)
+    seen = _spy_lengths(net)
+    got = net.forward(x, mode="mc_infer", rng=np.random.default_rng(45),
+                      start=start, stop=stop)
+    assert got.tobytes() == want.tobytes()
+    stop = len(net.layers) if stop is None else stop
+    for lo, steps in ((2, 32), (7, 16)):
+        whole = start <= lo and lo + 3 <= stop
+        for i in (lo, lo + 1):
+            expect = [steps // 2 if whole else steps] if start <= i < stop \
+                else []
+            assert seen[i] == expect, (i, seen)
+
+
+@pytest.mark.parametrize("mode", ("mc_infer", "infer", "train"))
+def test_plan_is_taken_outside_train_only(mode):
+    """An MC-dropout CNN on 64 steps, pool 4: outside train, batch norm and
+    relu see 16 then 4 steps, pooled; a train pass shows them 64 then 16.
+    The pools see their unpooled input in every mode."""
+    cfg = arch.ModelConfig(family="cnn", uq="mc_dropout", cnn_blocks=2,
+                           f1=16, f2=16, k1=4, k2=4, max_pool=4)
+    net = arch.build_network(cfg, 6, 64, seed=1)
+    net.layers[2].gamma.value[::3] *= -1.0  # the min-pool path too
+    seen = _spy_lengths(net)
+    x = np.random.default_rng(46).normal(size=(4, 6, 64))
+    net.forward(x, mode=mode, rng=np.random.default_rng(47))
+    full = mode == "train"
+    assert seen == {2: [64 if full else 16], 3: [64 if full else 16],
+                    4: [64], 7: [16 if full else 4], 8: [16 if full else 4],
+                    9: [16]}
+
+
+def test_plan_zero_sign_differs_only_where_stated():
+    """Pool 2 over four windows of two channels; channel 1 has a negative
+    gamma.  Where a window's largest batch-norm output is exactly +0 and
+    its first position's is negative, the unfused relu gives the tied
+    zeros -0, +0 and the pool keeps the first, -0; pooling first gives
+    +0.  The values compare equal, and only window 0 of channel 0 and
+    window 2 of channel 1 differ, in the sign bit."""
+    bn, relu, pool = BatchNorm1D(2), ReLU(), MaxPool1D(2)
+    bn.gamma.value = np.array([1.0, -1.0])
+    net = arch.Network([bn, relu, pool], arch.ModelConfig(family="cnn"),
+                       2, 8)
+    # [batch 1, channels 2, length 8]: windows (0,1) (2,3) (4,5) (6,7)
+    x = np.array([[[-1.0, 0.0, 0.0, -1.0, 2.0, 0.0, 0.0, 0.0],
+                   [0.0, 1.0, 0.0, 3.0, 1.0, 0.0, 0.0, 0.0]]])
+    got = net.forward(x, mode="infer")
+    want = unfused(net, x, "infer")
+    assert np.array_equal(got, want)
+    flipped = np.signbit(got) != np.signbit(want)
+    assert flipped[0].T.tolist() == [[True, False, False, False],
+                                     [False, False, True, False]]
+    assert not np.signbit(got).any() and np.signbit(want).sum() == 2
 
 
 # ---------------------------------------------------------------------------

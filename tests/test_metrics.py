@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import perturbed_net
 from uqtsc import arch, metrics
 from uqtsc.nncore import LSTM, ShapeMismatch, blas
 
@@ -74,16 +75,19 @@ def _family_net(family, method, dtype=np.float64):
 def _plain_samples(net, x, m, rng):
     """m full forward passes per chunk, one chunk after another, as the
     reference: 32 windows per chunk for a network with an LSTM, 8
-    otherwise, and chunk c draws from the c-th child of rng.spawn.  Its
-    products run on one OpenBLAS thread, as the posterior's do."""
+    otherwise, and chunk c draws from the c-th child of rng.spawn.  Each
+    pass runs the layers one by one (`arch._run`), not the inference plan
+    that `net.forward` takes.  Its products run on one OpenBLAS thread,
+    as the posterior's do."""
     samples = np.empty((m, len(x), 2))
     step = 32 if any(isinstance(layer, LSTM) for layer in net.layers) else 8
     starts = range(0, len(x), step)
     with blas.one_thread():
         for lo, child in zip(starts, rng.spawn(len(starts))):
             for j in range(m):
-                logits = net.forward(x[lo:lo + step], mode="mc_infer",
-                                     rng=child)
+                logits = arch._run(net.layers,
+                                   x[lo:lo + step].transpose(0, 2, 1),
+                                   "mc_infer", child)
                 samples[j, lo:lo + len(logits)] = metrics._softmax(
                     logits.astype(np.float64))
     return samples
@@ -244,6 +248,25 @@ def test_posterior_bytes_do_not_depend_on_lanes(family, method, monkeypatch):
         else:
             assert len(threads) == 1
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+@pytest.mark.parametrize("family, method, dtype", [
+    pytest.param(f, m, d, id=f"{f}-{m}-{np.dtype(d).name}")
+    for f in ("cnn", "cnn_lstm") for m in arch.UQ_METHODS
+    for d in (np.float64, np.float32)])
+def test_posterior_plan_bytes_equal_unfused_for_any_lanes(family, method,
+                                                          dtype, monkeypatch):
+    """Batch norms as training leaves them (5 of 16 gammas negative,
+    running means shifted), so both conv blocks min-pool some channels:
+    the samples of 1, 2 and 3 lanes are the layer-by-layer bytes."""
+    net = perturbed_net(family, method, dtype)
+    x = np.random.default_rng(48).normal(size=(150, 6, 32)).astype(dtype)
+    expect = _plain_samples(net, x, 3, np.random.default_rng(49)).tobytes()
+    for lanes in (1, 2, 3):
+        monkeypatch.setattr(metrics, "_usable_cores", lambda: lanes)
+        dist = metrics.predictive_posterior(net, x, m=3,
+                                            rng=np.random.default_rng(49))
+        assert dist.samples.tobytes() == expect
 
 
 @pytest.fixture

@@ -294,6 +294,34 @@ def test_lstm_return_sequences_last_matches():
     np.testing.assert_allclose(seq[:, -1, :], last, atol=1e-14)
 
 
+def _two_branch_sigmoid(z):
+    """The masked two-branch logistic the LSTM step used before: every
+    gate's bytes are pinned to it."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+def test_sigmoid_bytes_equal_two_branch_form(dtype):
+    """2e5 normal values at four scales, plus signed zeros, tiny values,
+    and values past the points where exp overflows or underflows in
+    float32 and in float64."""
+    rng = np.random.default_rng(40)
+    edge = [0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300, 88.0, -88.0, 104.0,
+            -104.0, 745.0, -745.0, 1e4, -1e4]
+    z = np.concatenate([rng.normal(scale=s, size=50_000)
+                        for s in (1.0, 5.0, 30.0, 300.0)] + [edge])
+    z = z.astype(dtype)
+    for arr in (z, z[:12_800].reshape(100, 128)):
+        got = nn.layers._sigmoid(arr)
+        assert got.dtype == dtype and got.shape == arr.shape
+        assert got.tobytes() == _two_branch_sigmoid(arr).tobytes()
+
+
 @pytest.mark.parametrize("return_sequences", (False, True))
 def test_lstm_infer_bytes_equal_train(return_sequences):
     """Inference skips the backward bookkeeping; its output is unchanged."""
