@@ -1,5 +1,6 @@
 """Hyperband schedule arithmetic, KDE proposals, and the BOHB loop."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -367,3 +368,52 @@ def test_trial_csv_rejects_bad_header(tmp_path):
     path.write_text("nope\n1,2,3\n")
     with pytest.raises(hpo.MalformedTrialLog):
         hpo.read_trials_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# search bytes, pinned
+
+
+# SHA-256 of the trials.csv that `run_bohb` writes for `_bowl_objective`
+# over each space (3 iterations, budgets 1 -> 9, eta 3: 69 trials, KDE
+# proposals once a budget holds dims + 2 ok trials): proposals, promotion,
+# failure handling and the trial log, pinned.
+BOHB_SHA256 = {
+    "fcn": "1984790e4fa7a0518aa40986ab827eafbea231485c287a7fe505c474158efd34",
+    "cnn_lstm":
+        "38bf549125a2578df65474ae3c2f4556b8cb2db468bc89bec825e301993dc3f0",
+}
+COLLAPSE_SEED, NAN_SEED = 2, 4
+
+
+def _bowl_objective(cfg, budget, seed):
+    """A quadratic bowl over every ranged config field plus 1/budget;
+    seed COLLAPSE_SEED cannot take the data and seed NAN_SEED diverges."""
+    if seed == COLLAPSE_SEED:
+        raise ShapeCollapse("pinned collapse")
+    loss = sum(((getattr(cfg, key) - lo) / (hi - lo) - 0.3) ** 2
+               for key, (lo, hi) in ModelConfig.RANGES.items()) + 1.0 / budget
+    wf1 = 1.0 / (1.0 + loss)
+    if seed == NAN_SEED:
+        loss = float("nan")
+    return hpo.TrialRecord(cfg, budget, loss, val_wf1=wf1)
+
+
+@pytest.mark.parametrize("family", BOHB_SHA256)
+def test_bohb_trial_log_bytes_pinned(family, tmp_path, monkeypatch):
+    model_proposals = []
+    from_unit = hpo._config_from_unit
+    monkeypatch.setattr(hpo, "_config_from_unit", lambda space, u: (
+        model_proposals.append(u), from_unit(space, u))[1])
+    trials, incumbent = hpo.run_bohb(
+        _bowl_objective, hpo.model_space(family, "mc_dropout"), iterations=3,
+        rng=np.random.default_rng(19), min_budget=1, max_budget=9, eta=3)
+    assert len(trials) == 69 and model_proposals
+    failed = [t for t in trials if t.status == "failed"]
+    assert [(t.trial_id, t.val_wf1 == 0.0) for t in failed] == [
+        (COLLAPSE_SEED, True), (NAN_SEED, False)]
+    assert all(t.val_loss == hpo.FAILED_LOSS for t in failed)
+    assert incumbent is not None and incumbent.budget_epochs == 9
+    path = tmp_path / "trials.csv"
+    hpo.write_trials_csv(trials, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BOHB_SHA256[family]
