@@ -20,23 +20,22 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from uqtsc import hpo
 
 
-TOY = hpo.ConfigSpace(
-    "fcn", (hpo.ParamSpec("dropout_rate", 0.0, 0.5, integer=False),))
+TOY = hpo.ConfigSpace("fcn", (hpo.ParamSpec("dropout_rate"),))
 
 
 def toy_objective(config, budget_epochs, seed):
+    """(val_loss, val_wF1) of a 1-D bowl with its minimum at 0.3."""
     loss = (config.dropout_rate - 0.3) ** 2
-    return hpo.TrialRecord(config=config, budget_epochs=budget_epochs,
-                           val_loss=loss, val_wf1=1.0 - loss, seed=seed)
+    return loss, 1.0 - loss
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pairs", type=int, default=50)
     ap.add_argument("--iterations", type=int, default=20)
-    ap.add_argument("--min-budget", type=int, default=16)
-    ap.add_argument("--max-budget", type=int, default=50)
-    ap.add_argument("--eta", type=int, default=3)
+    ap.add_argument("--min-budget", type=int, default=hpo.MIN_BUDGET)
+    ap.add_argument("--max-budget", type=int, default=hpo.MAX_BUDGET)
+    ap.add_argument("--eta", type=int, default=hpo.ETA)
     args = ap.parse_args()
 
     schedule = hpo.hyperband_schedule(args.min_budget, args.max_budget,

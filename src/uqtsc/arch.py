@@ -20,6 +20,7 @@ touch 1/p of the data, with the same values (see `_pool_first`).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -80,9 +81,8 @@ class ModelConfig:
     batch_size: int = 32
     dropout_rate: float = 0.25
 
-    KV_KEYS = ("family", "uq", "cnn_blocks", "f1", "f2", "f3", "k1", "k2",
-               "k3", "max_pool", "lstm_layers", "u1", "u2", "u3",
-               "batch_size", "dropout_rate")
+    # every field name, in field order: the serialized keys (set below)
+    KV_KEYS: ClassVar[tuple[str, ...]]
     # (lo, hi) of every numeric field, also the search space (hpo); int
     # bounds mark an integer field
     RANGES = {
@@ -144,6 +144,9 @@ class ModelConfig:
         if missing:
             raise InvalidConfig(f"missing config keys {sorted(missing)}")
         return cls.from_pairs(pairs)
+
+
+ModelConfig.KV_KEYS = tuple(f.name for f in fields(ModelConfig))
 
 
 def _conv(config: ModelConfig, n_in: int, filters: int, kernel: int,
@@ -259,12 +262,7 @@ class ResidualBlock(Layer):
 
 
 class Network:
-    """An ordered layer stack plus the config that built it.
-
-    Its inference plan, the start index of every BatchNorm1D -> ReLU ->
-    MaxPool1D run in the stack, is found whenever `layers` is set; it
-    holds layer indices only, so passes store nothing on the network.
-    """
+    """An ordered layer stack plus the config that built it."""
 
     def __init__(self, layers: list[Layer], config: ModelConfig,
                  n_channels: int, window_length: int):
@@ -272,15 +270,6 @@ class Network:
         self.config = config
         self.n_channels = n_channels
         self.window_length = window_length
-
-    @property
-    def layers(self) -> list[Layer]:
-        return self._layers
-
-    @layers.setter
-    def layers(self, layers: list[Layer]):
-        self._layers = layers
-        self._fused = _fused_starts(layers)
 
     def params(self) -> list[Param]:
         return [p for layer in self.layers for p in layer.params()]
@@ -324,7 +313,7 @@ class Network:
         if mode == "train":
             return _run(layers[start:stop], x, mode, rng)
         start, stop, _ = slice(start, stop).indices(len(layers))
-        for lo in self._fused:
+        for lo in _fused_starts(layers):
             if start <= lo and lo + 3 <= stop:
                 x = _run(layers[start:lo], x, mode, rng)
                 x = _pool_first(*layers[lo:lo + 3], x, mode)

@@ -249,7 +249,8 @@ def cmd_train(args):
 
 
 class _TrainObjective:
-    """Train-then-validate objective; keeps the best full-budget network.
+    """Train-then-validate objective returning (val_loss, val_wF1); keeps
+    the best full-budget network.
 
     Ties on val_loss go to the lower seed.  Seeds are seed_base plus the
     trial id, so this matches hpo.incumbent_of under any worker count.
@@ -271,15 +272,13 @@ class _TrainObjective:
         hist = training.train_network(
             net, self.xt, self.yt, self.xv, self.yv, epochs=budget,
             seed=seed, dtype=self.dtype)
-        last = hist[-1]
-        rec = hpo.TrialRecord(cfg, budget, float(last.val_loss),
-                              val_wf1=float(last.val_wf1), seed=seed)
-        if budget == self.max_budget and math.isfinite(rec.val_loss):
+        val_loss = float(hist[-1].val_loss)
+        if budget == self.max_budget and math.isfinite(val_loss):
             with self._lock:
-                key = (rec.val_loss, seed)
+                key = (val_loss, seed)
                 if self.best_key is None or key < self.best_key:
                     self.best_key, self.best_net = key, net
-        return rec
+        return val_loss, float(hist[-1].val_wf1)
 
 
 def cmd_search(args):
@@ -483,9 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--family", choices=arch.FAMILIES, default="cnn")
     se.add_argument("--uq", choices=arch.UQ_METHODS, default="none")
     se.add_argument("--iterations", type=int, default=20)
-    se.add_argument("--min-budget", type=int, default=16, dest="min_budget")
-    se.add_argument("--max-budget", type=int, default=50, dest="max_budget")
-    se.add_argument("--eta", type=int, default=3)
+    se.add_argument("--min-budget", type=int, default=hpo.MIN_BUDGET)
+    se.add_argument("--max-budget", type=int, default=hpo.MAX_BUDGET)
+    se.add_argument("--eta", type=int, default=hpo.ETA)
     se.add_argument("--random-fraction", type=float,
                     default=hpo.RANDOM_FRACTION, dest="random_fraction")
     se.add_argument("--workers", type=int, default=1)

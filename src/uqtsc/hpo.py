@@ -18,7 +18,7 @@ Everything is deterministic in serial mode given the generator state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +34,8 @@ RANDOM_FRACTION = 1.0 / 3.0
 # escape while still localizing each dim to a few percent of its range.
 MIN_BANDWIDTH = 0.03
 FAILED_LOSS = float("inf")
+# the default Hyperband schedule, also the search command's
+MIN_BUDGET, MAX_BUDGET, ETA = 16, 50, 3
 
 TRIAL_CSV_FIXED = ("trial_id", "bracket", "rung", "budget_epochs", "status",
                    "val_loss", "val_wF1")
@@ -57,12 +59,11 @@ class MalformedTrialLog(Exception):
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One searchable dimension; active iff parent value >= threshold."""
+    """One searchable config field, bounded by its `ModelConfig.RANGES`
+    entry (an int lower bound marks an integer dimension); active iff
+    the parent's value >= threshold."""
 
     name: str
-    lo: float
-    hi: float
-    integer: bool = True
     parent: str | None = None
     threshold: int = 0
 
@@ -70,17 +71,20 @@ class ParamSpec:
         return self.parent is None or values[self.parent] >= self.threshold
 
     def sample(self, rng):
-        if self.integer:
-            return int(rng.integers(int(self.lo), int(self.hi) + 1))
-        return float(rng.uniform(self.lo, self.hi))
+        lo, hi = ModelConfig.RANGES[self.name]
+        if isinstance(lo, int):
+            return int(rng.integers(lo, hi + 1))
+        return float(rng.uniform(lo, hi))
 
     def to_unit(self, v) -> float:
-        return (float(v) - self.lo) / (self.hi - self.lo)
+        lo, hi = ModelConfig.RANGES[self.name]
+        return (float(v) - lo) / (hi - lo)
 
     def from_unit(self, u: float):
-        v = self.lo + min(max(u, 0.0), 1.0) * (self.hi - self.lo)
-        if self.integer:
-            return int(min(max(round(v), self.lo), self.hi))
+        lo, hi = ModelConfig.RANGES[self.name]
+        v = lo + min(max(u, 0.0), 1.0) * (hi - lo)
+        if isinstance(lo, int):
+            return int(min(max(round(v), lo), hi))
         return float(v)
 
 
@@ -102,24 +106,15 @@ def model_space(family: str, uq: str = "none") -> ConfigSpace:
     hyperparameters; their topology is not searched.
     """
     params: list[ParamSpec] = []
-
-    def add(name, parent=None, threshold=0):
-        lo, hi = ModelConfig.RANGES[name]
-        params.append(ParamSpec(name, lo, hi, integer=isinstance(lo, int),
-                                parent=parent, threshold=threshold))
-
     if family in ("cnn", "cnn_lstm"):
-        add("cnn_blocks")
-        for prefix in ("f", "k"):
-            for i in (1, 2, 3):
-                add(f"{prefix}{i}", "cnn_blocks", i)
-        add("max_pool")
+        params += [ParamSpec("cnn_blocks")]
+        params += [ParamSpec(f"{prefix}{i}", "cnn_blocks", i)
+                   for prefix in ("f", "k") for i in (1, 2, 3)]
+        params += [ParamSpec("max_pool")]
     if family in ("lstm", "cnn_lstm"):
-        add("lstm_layers")
-        for i in (1, 2, 3):
-            add(f"u{i}", "lstm_layers", i)
-    add("batch_size")
-    add("dropout_rate")
+        params += [ParamSpec("lstm_layers")]
+        params += [ParamSpec(f"u{i}", "lstm_layers", i) for i in (1, 2, 3)]
+    params += [ParamSpec("batch_size"), ParamSpec("dropout_rate")]
     return ConfigSpace(family, tuple(params), uq)
 
 
@@ -234,8 +229,7 @@ class HyperbandSchedule:
         return sum(b.total_epochs for b in self.brackets)
 
 
-def hyperband_schedule(min_b: int = 16, max_b: int = 50,
-                       eta: int = 3) -> HyperbandSchedule:
+def hyperband_schedule(min_b: int, max_b: int, eta: int) -> HyperbandSchedule:
     """Bracket structure for one Hyperband cycle.
 
     s_max = floor(log_eta(max_b/min_b)); bracket s starts
@@ -273,36 +267,34 @@ class TrialRecord:
     config: ModelConfig
     budget_epochs: int
     val_loss: float
-    val_wf1: float = 0.0
-    status: str = "ok"
-    seed: int = 0
-    trial_id: int = -1
-    bracket: int = -1
-    rung: int = -1
+    val_wf1: float
+    status: str
+    trial_id: int
+    bracket: int
+    rung: int
 
 
 def _evaluate(objective, config, budget, seed, trial_id, bracket, rung):
+    """Run objective(config, budget, seed) -> (val_loss, val_wF1) and
+    record it; a non-finite loss fails the trial at loss FAILED_LOSS."""
     try:
-        rec = objective(config, budget, seed)
+        val_loss, val_wf1 = objective(config, budget, seed)
     except ShapeCollapse:
         # a valid config the data cannot take fails its trial; any other
         # exception is a bug and ends the search
-        rec = TrialRecord(config, budget, FAILED_LOSS, status="failed")
-    if rec.status == "ok" and not math.isfinite(rec.val_loss):
-        rec = replace(rec, val_loss=FAILED_LOSS, status="failed")
-    if rec.status != "ok":
-        rec = replace(rec, val_loss=FAILED_LOSS)
-    return replace(rec, config=config, budget_epochs=budget, seed=seed,
-                   trial_id=trial_id, bracket=bracket, rung=rung)
+        val_loss, val_wf1 = FAILED_LOSS, 0.0
+    ok = math.isfinite(val_loss)
+    return TrialRecord(config, budget, val_loss if ok else FAILED_LOSS,
+                       val_wf1, "ok" if ok else "failed", trial_id, bracket,
+                       rung)
 
 
 def _rank(rung_trials):
-    # failed trials last; ties broken by insertion order
-    return sorted(rung_trials,
-                  key=lambda t: (t.status != "ok", t.val_loss, t.trial_id))
+    # failed trials (loss FAILED_LOSS) last; ties broken by insertion order
+    return sorted(rung_trials, key=lambda t: (t.val_loss, t.trial_id))
 
 
-def successive_halving(configs, budgets, objective, eta: int = 3, *,
+def successive_halving(configs, budgets, objective, eta: int = ETA, *,
                        bracket_id: int = 0, start_trial_id: int = 0,
                        seed_base: int = 0, map_fn=None):
     """Evaluate configs at budgets[0]; keep the top ceil(n/eta) per rung.
@@ -343,9 +335,9 @@ def _propose(trials, space, rng, random_fraction):
 
 
 def run_bohb(objective, space: ConfigSpace, iterations: int, rng, *,
-             min_budget: int = 16, max_budget: int = 50, eta: int = 3,
-             random_fraction: float = RANDOM_FRACTION, seed_base: int = 0,
-             map_fn=None):
+             min_budget: int = MIN_BUDGET, max_budget: int = MAX_BUDGET,
+             eta: int = ETA, random_fraction: float = RANDOM_FRACTION,
+             seed_base: int = 0, map_fn=None):
     """BOHB loop: each iteration sweeps every Hyperband bracket once.
 
     Returns (trials, incumbent) where the incumbent is the best ok-trial

@@ -27,7 +27,7 @@ import numpy as np
 
 from .arch import Network
 from .nncore import blas
-from .nncore.layers import LSTM
+from .nncore.layers import LSTM, softmax
 
 F1_THRESHOLD = 0.9
 ENTROPY_THRESHOLD = 0.1
@@ -82,12 +82,6 @@ class PredictiveDistribution:
                    predicted_class=mean.argmax(axis=1))
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=1, keepdims=True)
-
-
 def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
                          rng: np.random.Generator | None = None
                          ) -> PredictiveDistribution:
@@ -132,7 +126,7 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
             h = net.forward(h, mode="mc_infer", rng=child, stop=first)
         for j in range(m):
             logits = net.forward(h, mode="mc_infer", rng=child, start=first)
-            samples[j, rows] = _softmax(logits.astype(np.float64, copy=False))
+            samples[j, rows] = softmax(logits.astype(np.float64, copy=False))
 
     with blas.one_thread() as pinned:
         lanes = min(_usable_cores(), len(starts)) if pinned else 1

@@ -424,14 +424,12 @@ class LSTM(Layer):
         if train:
             cs = np.empty((t_len, bsz, u), dtype=x.dtype)
             gates = np.empty((t_len, bsz, 4 * u), dtype=x.dtype)
-            c_prev = np.empty((t_len, bsz, u), dtype=x.dtype)
         for t in range(t_len):
             z = x[:, t] @ self.wx.value + h @ self.wh.value + self.b.value
             gate = _sigmoid(z)  # the candidate's columns go unused
             i, f, o = gate[:, :u], gate[:, u:2 * u], gate[:, 3 * u:]
             g = np.tanh(z[:, 2 * u:3 * u])
             if train:
-                c_prev[t] = c
                 np.concatenate([i, f, g, o], axis=1, out=gates[t])
             c = f * c + i * g
             h = o * np.tanh(c)
@@ -439,16 +437,17 @@ class LSTM(Layer):
                 hs[t] = h
             if train:
                 cs[t] = c
-        self._cache = (x, hs, cs, gates, c_prev) if train else None
+        self._cache = (x, hs, cs, gates) if train else None
         if self.return_sequences:
             return hs.transpose(1, 0, 2)
         return h
 
     def backward(self, dy):
-        x, hs, cs, gates, c_prev = self._cache
+        x, hs, cs, gates = self._cache
         bsz, t_len, _ = x.shape
         u = self.units
         dx = np.zeros_like(x)
+        zeros = np.zeros((bsz, u), dtype=x.dtype)  # the initial state
         dh_next = np.zeros((bsz, u), dtype=x.dtype)
         dc_next = np.zeros((bsz, u), dtype=x.dtype)
         dy_seq = dy.transpose(1, 0, 2) if self.return_sequences else None
@@ -462,22 +461,35 @@ class LSTM(Layer):
             f = gates[t][:, u:2 * u]
             g = gates[t][:, 2 * u:3 * u]
             o = gates[t][:, 3 * u:]
+            h_prev, c_prev = (hs[t - 1], cs[t - 1]) if t else (zeros, zeros)
             tc = np.tanh(cs[t])
             dc = dc_next + dh * o * (1.0 - tc * tc)
             dz = np.concatenate([
                 dc * g * i * (1.0 - i),
-                dc * c_prev[t] * f * (1.0 - f),
+                dc * c_prev * f * (1.0 - f),
                 dc * i * (1.0 - g * g),
                 dh * tc * o * (1.0 - o),
             ], axis=1)
             self.wx.grad += x[:, t].T @ dz
-            h_prev = hs[t - 1] if t > 0 else np.zeros((bsz, u), dtype=x.dtype)
             self.wh.grad += h_prev.T @ dz
             self.b.grad += dz.sum(axis=0)
             dx[:, t] = dz @ self.wx.value.T
             dh_next = dz @ self.wh.value.T
             dc_next = dc * f
         return dx
+
+
+def _softmax_terms(logits: np.ndarray):
+    """(logits minus their row max, row sums of its exp, softmax)."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    ex = np.exp(shifted)
+    total = ex.sum(axis=1, keepdims=True)
+    return shifted, total, ex / total
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-max-stabilized softmax of [n, classes] logits."""
+    return _softmax_terms(logits)[2]
 
 
 def softmax_cross_entropy(logits: np.ndarray,
@@ -487,11 +499,8 @@ def softmax_cross_entropy(logits: np.ndarray,
     n, c = logits.shape
     if labels.min() < 0 or labels.max() >= c:
         raise LabelOutOfRange(f"labels must lie in [0, {c})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    probs = ex / ex.sum(axis=1, keepdims=True)
-    logz = np.log(ex.sum(axis=1))
-    nll = logz - shifted[np.arange(n), labels]
+    shifted, total, probs = _softmax_terms(logits)
+    nll = np.log(total[:, 0]) - shifted[np.arange(n), labels]
     return float(nll.mean()), probs
 
 

@@ -193,14 +193,12 @@ def test_c05_scheduler_accounting(capsys):
 # 6. BOHB vs random at equal budget
 
 
-TOY = hpo.ConfigSpace(
-    "fcn", (hpo.ParamSpec("dropout_rate", 0.0, 0.5, integer=False),))
+TOY = hpo.ConfigSpace("fcn", (hpo.ParamSpec("dropout_rate"),))
 
 
 def _toy_objective(config, budget_epochs, seed):
     loss = (config.dropout_rate - 0.3) ** 2
-    return hpo.TrialRecord(config=config, budget_epochs=budget_epochs,
-                           val_loss=loss, val_wf1=1.0 - loss, seed=seed)
+    return loss, 1.0 - loss
 
 
 def test_c06_bohb_beats_random(capsys):

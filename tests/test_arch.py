@@ -519,8 +519,9 @@ def test_plan_logits_bytes_equal_unfused(family, method, dtype):
     """infer logits, and an mc_infer pass and the rng state after it, are
     the layer-by-layer bytes; both blocks min-pool some channels."""
     net = perturbed_net(family, method, dtype)
-    assert net._fused == ((2, 7) if method == "mc_dropout" else (1, 5))
-    assert all((net.layers[i].gamma.value < 0).any() for i in net._fused)
+    fused = arch._fused_starts(net.layers)
+    assert fused == ((2, 7) if method == "mc_dropout" else (1, 5))
+    assert all((net.layers[i].gamma.value < 0).any() for i in fused)
     x = np.random.default_rng(41).normal(size=(9, 6, 32)).astype(dtype)
     got = net.forward(x, mode="infer")
     assert got.dtype == dtype

@@ -1,7 +1,6 @@
 """Command pipeline on a miniature synthetic corpus."""
 
 import hashlib
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -348,10 +347,12 @@ def test_objective_tie_keeps_lower_seed(monkeypatch):
                          n_channels=6, window_length=16)
     objective = cli._TrainObjective(ds, ds, max_budget=4, dtype=None)
     cfg = arch.ModelConfig(family="cnn")
-    recs = [objective(cfg, 4, seed) for seed in (12, 11)]
+    # a search gives trial t the seed seed_base + t: here seed_base 10
+    trials = [hpo._evaluate(objective, cfg, 4, seed, seed - 10, 0, 0)
+              for seed in (12, 11)]
+    assert [(t.val_loss, t.val_wf1) for t in trials] == [(0.25, 0.9)] * 2
     assert objective.best_net is nets[11]
-    trials = [replace(r, trial_id=r.seed - 10) for r in recs]
-    assert hpo.incumbent_of(trials, 4).seed == 11
+    assert hpo.incumbent_of(trials, 4).trial_id == 1
 
 
 def test_search_empty_data_dir_clean_error(tmp_path, capsys):

@@ -11,13 +11,17 @@ from hypothesis import strategies as st
 from uqtsc import hpo
 from uqtsc.arch import InvalidConfig, ModelConfig, ShapeCollapse
 
-TOY = hpo.ConfigSpace(
-    "fcn", (hpo.ParamSpec("dropout_rate", 0.0, 0.5, integer=False),))
+TOY = hpo.ConfigSpace("fcn", (hpo.ParamSpec("dropout_rate"),))
 
 
 def quad_objective(cfg, budget, seed):
     loss = (cfg.dropout_rate - 0.3) ** 2
-    return hpo.TrialRecord(cfg, budget, float(loss), val_wf1=1.0 - loss)
+    return float(loss), 1.0 - loss
+
+
+def _trial(cfg, loss, status="ok"):
+    """A budget-16 trial record, as kde_propose reads them."""
+    return hpo.TrialRecord(cfg, 16, loss, 0.0, status, -1, -1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -59,15 +63,17 @@ def test_random_sample_validates_and_reproduces():
 def test_random_sampling_covers_endpoints():
     space = hpo.model_space("cnn_lstm")
     rng = np.random.default_rng(1)
-    seen = {p.name: set() for p in space.params if p.integer}
+    bounds = {p.name: ModelConfig.RANGES[p.name] for p in space.params}
+    seen = {name: set() for name, (lo, _) in bounds.items()
+            if isinstance(lo, int)}
     for _ in range(10_000):
         for name, v in hpo.sample_values(space, rng).items():
             if name in seen:
                 seen[name].add(v)
-    for p in space.params:
-        if p.integer:
-            assert int(p.lo) in seen[p.name], p.name
-            assert int(p.hi) in seen[p.name], p.name
+    for name in seen:
+        lo, hi = bounds[name]
+        assert lo in seen[name], name
+        assert hi in seen[name], name
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +128,7 @@ def _toy_trials(n, rng):
     trials = []
     for i in range(n):
         cfg = hpo.sample_random(TOY, rng)
-        trials.append(quad_objective(cfg, 16, i))
+        trials.append(_trial(cfg, quad_objective(cfg, 16, i)[0]))
     return trials
 
 
@@ -144,16 +150,14 @@ def test_kde_homes_in_on_optimum():
 
 def test_kde_identical_losses_no_crash():
     rng = np.random.default_rng(3)
-    trials = [hpo.TrialRecord(hpo.sample_random(TOY, rng), 16, 0.5)
-              for _ in range(10)]
+    trials = [_trial(hpo.sample_random(TOY, rng), 0.5) for _ in range(10)]
     prop = hpo.kde_propose(trials, TOY, rng, random_fraction=0.0)
     prop.validate()
 
 
 def test_kde_ignores_failed_trials():
     rng = np.random.default_rng(4)
-    trials = [hpo.TrialRecord(hpo.sample_random(TOY, rng), 16,
-                              hpo.FAILED_LOSS, status="failed")
+    trials = [_trial(hpo.sample_random(TOY, rng), hpo.FAILED_LOSS, "failed")
               for _ in range(20)]
     with pytest.raises(hpo.InsufficientData):
         hpo.kde_propose(trials, TOY, rng)
@@ -165,7 +169,7 @@ def test_kde_proposals_stay_in_range():
     trials = []
     for i in range(30):
         cfg = hpo.sample_random(space, rng)
-        trials.append(hpo.TrialRecord(cfg, 16, float(rng.random())))
+        trials.append(_trial(cfg, float(rng.random())))
     for _ in range(20):
         hpo.kde_propose(trials, space, rng).validate()
 
@@ -176,7 +180,7 @@ def test_kde_proposals_stay_in_range():
 
 def _fixed_loss_objective(losses):
     def objective(cfg, budget, seed):
-        return hpo.TrialRecord(cfg, budget, losses[cfg.batch_size])
+        return losses[cfg.batch_size], 0.0
     return objective
 
 
@@ -204,7 +208,7 @@ def test_halving_failed_rank_last():
     def objective(cfg, budget, seed):
         if cfg.batch_size != 48:
             raise ShapeCollapse("boom")
-        return hpo.TrialRecord(cfg, budget, 123.0)
+        return 123.0, 0.5
 
     trials = hpo.successive_halving(
         [_cfg(16), _cfg(32), _cfg(48)], [16, 50], objective, eta=3)
@@ -212,6 +216,7 @@ def test_halving_failed_rank_last():
     failed = [t for t in trials if t.status == "failed"]
     assert len(failed) == 2
     assert all(t.val_loss == hpo.FAILED_LOSS for t in failed)
+    assert all(t.val_wf1 == 0.0 for t in failed)
 
 
 def test_halving_propagates_unexpected_errors():
@@ -220,7 +225,7 @@ def test_halving_propagates_unexpected_errors():
     def objective(cfg, budget, seed):
         if cfg.batch_size != 48:
             raise RuntimeError("boom")
-        return hpo.TrialRecord(cfg, budget, 123.0)
+        return 123.0, 0.5
 
     with pytest.raises(RuntimeError, match="boom"):
         hpo.successive_halving(
@@ -236,11 +241,12 @@ def test_halving_tie_break_by_insertion_order():
 
 def test_nan_loss_treated_as_failure():
     def objective(cfg, budget, seed):
-        return hpo.TrialRecord(cfg, budget, float("nan"))
+        return float("nan"), 0.25
 
     trials = hpo.successive_halving([_cfg(24)], [16], objective)
     assert trials[0].status == "failed"
     assert trials[0].val_loss == hpo.FAILED_LOSS
+    assert trials[0].val_wf1 == 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -396,15 +402,19 @@ def _bowl_objective(cfg, budget, seed):
     wf1 = 1.0 / (1.0 + loss)
     if seed == NAN_SEED:
         loss = float("nan")
-    return hpo.TrialRecord(cfg, budget, loss, val_wf1=wf1)
+    return loss, wf1
 
 
 @pytest.mark.parametrize("family", BOHB_SHA256)
 def test_bohb_trial_log_bytes_pinned(family, tmp_path, monkeypatch):
     model_proposals = []
     from_unit = hpo._config_from_unit
-    monkeypatch.setattr(hpo, "_config_from_unit", lambda space, u: (
-        model_proposals.append(u), from_unit(space, u))[1])
+
+    def counted(space, u):
+        model_proposals.append(u)
+        return from_unit(space, u)
+
+    monkeypatch.setattr(hpo, "_config_from_unit", counted)
     trials, incumbent = hpo.run_bohb(
         _bowl_objective, hpo.model_space(family, "mc_dropout"), iterations=3,
         rng=np.random.default_rng(19), min_budget=1, max_budget=9, eta=3)

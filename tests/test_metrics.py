@@ -10,6 +10,7 @@ import pytest
 from conftest import perturbed_net
 from uqtsc import arch, metrics
 from uqtsc.nncore import LSTM, ShapeMismatch, blas
+from uqtsc.nncore.layers import softmax
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +89,7 @@ def _plain_samples(net, x, m, rng):
                 logits = arch._run(net.layers,
                                    x[lo:lo + step].transpose(0, 2, 1),
                                    "mc_infer", child)
-                samples[j, lo:lo + len(logits)] = metrics._softmax(
+                samples[j, lo:lo + len(logits)] = softmax(
                     logits.astype(np.float64))
     return samples
 
@@ -360,7 +361,7 @@ def test_posterior_memory_peak_not_above_plain_loop(monkeypatch):
         for j in range(3):
             for lo in range(0, len(x), 64):
                 logits = net.forward(x[lo:lo + 64], mode="mc_infer", rng=rng)
-                samples[j, lo:lo + len(logits)] = metrics._softmax(logits)
+                samples[j, lo:lo + len(logits)] = softmax(logits)
 
     def peak(run):
         tracemalloc.start()
