@@ -14,11 +14,15 @@ and its shortcut); every list runs through the same forward and backward
 loop, and `Network.forward(start=, stop=)` runs any slice of the stack.
 Outside train mode a network runs its inference plan: every
 BatchNorm1D -> ReLU -> MaxPool1D run pools first, so batch norm and relu
-touch 1/p of the data, with the same values (see `_pool_first`).
+touch 1/p of the data, with the same values (see `_pool_first`).  Inside
+`Network.frozen()` its layers hold the constants they derive from the
+parameters, so repeated inference passes derive them once.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -250,6 +254,10 @@ class ResidualBlock(Layer):
         return [p for layer in self.main + self.shortcut
                 for p in layer.params()]
 
+    def hold(self, on):
+        for layer in self.main + self.shortcut:
+            layer.hold(on)
+
     def forward(self, x, mode="train", rng=None):
         y = _run(self.main, x, mode, rng) + _run(self.shortcut, x, mode, rng)
         mask = y > 0
@@ -270,6 +278,34 @@ class Network:
         self.config = config
         self.n_channels = n_channels
         self.window_length = window_length
+        self._frozen = 0  # open frozen() blocks, in any thread
+        self._frozen_lock = threading.Lock()
+
+    @contextmanager
+    def frozen(self):
+        """Hold every layer's inference constants while the block runs.
+
+        Inside, passes outside train reuse what the layers derive from the
+        parameters (`Layer.hold`): a plain conv's weight matrix, a batch
+        norm's tiled rows, a Flipout head's sigmas.  So the parameters
+        must not change, and a train-mode forward raises.  Blocks may
+        nest and overlap across threads: the first to enter starts
+        holding, and the last to leave drops everything held, whether its
+        block returned or raised.
+        """
+        with self._frozen_lock:
+            if not self._frozen:
+                for layer in self.layers:
+                    layer.hold(True)
+            self._frozen += 1
+        try:
+            yield self
+        finally:
+            with self._frozen_lock:
+                self._frozen -= 1
+                if not self._frozen:
+                    for layer in self.layers:
+                        layer.hold(False)
 
     def params(self) -> list[Param]:
         return [p for layer in self.layers for p in layer.params()]
@@ -311,6 +347,8 @@ class Network:
             x = x.transpose(0, 2, 1)
         layers = self.layers
         if mode == "train":
+            if self._frozen:
+                raise RuntimeError("train-mode forward inside frozen()")
             return _run(layers[start:stop], x, mode, rng)
         start, stop, _ = slice(start, stop).indices(len(layers))
         for lo in _fused_starts(layers):

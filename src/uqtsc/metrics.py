@@ -9,10 +9,11 @@ run at once, with OpenBLAS held to one thread so that every product runs
 in its lane's thread and the bytes do not depend on the lane count.  The
 layers before a network's first stochastic one are deterministic in
 mc_infer mode, so they run once per chunk and all M passes start from
-their output.  ECE bins by max-probability confidence into K equal-width
-right-inclusive bins.  Candidate selection requires both per-class F1
-scores at or above 0.9 and mean entropy at or below 0.1, boundaries
-inclusive.
+their output, and the whole call runs inside `Network.frozen()`, so
+each layer derives its inference constants once per call.  ECE bins by
+max-probability confidence into K equal-width right-inclusive bins.
+Candidate selection requires both per-class F1 scores at or above 0.9
+and mean entropy at or below 0.1, boundaries inclusive.
 """
 
 from __future__ import annotations
@@ -102,7 +103,11 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
     most one per chunk: lane 0 runs in the calling thread, the others on
     a pool joined before the call returns, and an exception in any lane
     is raised here.  Where no OpenBLAS is found, one lane runs them all.
-    The samples are the same bytes for any lane count.
+    The samples are the same bytes for any lane count.  The lanes run
+    inside `net.frozen()`, so each layer derives its inference constants
+    (a plain conv's weight matrix, a batch norm's tiled rows, Flipout's
+    sigmas) once per call, not once per pass; nothing stays held after
+    the call.
 
     Softmax runs on float64 logits, so float32 networks yield rows that
     sum to 1 within 1e-9.
@@ -128,7 +133,7 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
             logits = net.forward(h, mode="mc_infer", rng=child, start=first)
             samples[j, rows] = softmax(logits.astype(np.float64, copy=False))
 
-    with blas.one_thread() as pinned:
+    with blas.one_thread() as pinned, net.frozen():
         lanes = min(_usable_cores(), len(starts)) if pinned else 1
         _deal(run_chunk, len(starts), lanes)
     return PredictiveDistribution.from_samples(samples)

@@ -14,10 +14,15 @@ regularizers on — that distinction belongs to the uq layers, plain layers
 treat it like infer except batch norm, which always uses running stats
 outside train).  Training backpropagates only train-mode passes, so no
 layer caches anything outside train: an infer or mc_infer pass clears
-the cache, and nothing but the Params stays held between passes.  An
-infer or mc_infer pass reads its layers and writes nothing to them that
+the cache, and nothing but the Params stays held between passes, unless
+the layer holds its inference constants (`Layer.hold`, opened by
+`arch.Network.frozen` for one posterior call): then passes outside train
+reuse what they derive from the parameters instead of deriving it again.
+An infer or mc_infer pass reads its layers and writes nothing to them that
 another pass needs, so several threads may run such passes on one
-network at once.
+network at once.  Held constants are filled lazily by whichever pass
+needs one first; every one is a pure function of the parameters, so two
+threads that both make it store the same value.
 """
 
 from __future__ import annotations
@@ -65,9 +70,27 @@ class Layer:
 
     name: str = ""
     stochastic: bool = False
+    # constants derived from the parameters that passes outside train may
+    # reuse: a dict while held (see hold), else None
+    _held: dict | None = None
 
     def params(self) -> list[Param]:
         return []
+
+    def hold(self, on: bool):
+        """Start holding inference constants (on), or drop every one."""
+        self._held = {} if on else None
+
+    def _constant(self, mode: str, key, make):
+        """make(), or outside train while held, the value held under key,
+        made on first use."""
+        held = self._held
+        if held is None or mode == "train":
+            return make()
+        value = held.get(key)
+        if value is None:
+            value = held[key] = make()
+        return value
 
     def forward(self, x: np.ndarray, mode: str = "train",
                 rng: np.random.Generator | None = None) -> np.ndarray:
@@ -124,27 +147,34 @@ class Dense(Layer):
 
 
 def pad_same(x: np.ndarray, k: int) -> tuple[np.ndarray, int, int]:
-    """Zero-pad the time axis so a valid k-conv preserves length.
+    """Zero-pad the time axis of [B, L, C] so a valid k-conv preserves length.
 
-    Total padding k-1 split floor-left / ceil-right.
+    Total padding k-1 split floor-left / ceil-right.  The result is
+    C-contiguous: a new array, or with k = 1 x itself where x already is.
     """
     left = (k - 1) // 2
     right = k - 1 - left
     if left == 0 and right == 0:
-        return x, 0, 0
-    return np.pad(x, ((0, 0), (left, right), (0, 0))), left, right
+        return np.ascontiguousarray(x), 0, 0
+    b, l, c = x.shape
+    xp = np.empty((b, l + k - 1, c), dtype=x.dtype)
+    xp[:, :left] = 0
+    xp[:, left + l:] = 0
+    xp[:, left:left + l] = x
+    return xp, left, right
 
 
 def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
     """[B, Lp, C] -> [B*Lout, k*C]: every length-k window as one row.
 
     xp is C-contiguous, so the k time steps of a window are k*C adjacent
-    elements and one strided view covers every window.
+    elements and one read-only strided view covers every window.
     """
     b, lp, c = xp.shape
     s_b, s_l, _ = xp.strides
-    v = np.lib.stride_tricks.as_strided(
-        xp, (b, lp - k + 1, k * c), (s_b, s_l, xp.itemsize), writeable=False)
+    v = np.ndarray((b, lp - k + 1, k * c), dtype=xp.dtype, buffer=xp,
+                   strides=(s_b, s_l, xp.itemsize))
+    v.flags.writeable = False
     return v.reshape(b * (lp - k + 1), k * c)
 
 
@@ -153,7 +183,8 @@ class Conv1D(Layer):
 
     Implemented as one GEMM of the im2col matrix of the padded input
     against the [k*C, F] weight matrix, whose output is already
-    [batch, length, filters].
+    [batch, length, filters].  A plain (not stochastic) conv holds that
+    matrix per dtype while held.
     """
 
     def __init__(self, n_in: int, filters: int, kernel: int,
@@ -182,11 +213,15 @@ class Conv1D(Layer):
                 f"{self.name}: expected [batch, len, {self.n_in}], got {x.shape}")
         k = self.kernel
         xp, left, right = pad_same(x, k)
-        xp = np.ascontiguousarray(xp)
-        # [F, C, k] -> [k*C, F], rows in im2col column order; the cast
-        # keeps the GEMM and its output in the input precision
-        wmat = self._weight(mode, rng).astype(x.dtype, copy=False).transpose(
-            2, 1, 0).reshape(k * self.n_in, self.filters)
+
+        def relayout():
+            # [F, C, k] -> [k*C, F], rows in im2col column order; the cast
+            # keeps the GEMM and its output in the input precision
+            return self._weight(mode, rng).astype(x.dtype, copy=False) \
+                .transpose(2, 1, 0).reshape(k * self.n_in, self.filters)
+
+        wmat = relayout() if self.stochastic else self._constant(
+            mode, x.dtype, relayout)
         self._pads = (left, right)
         self._xp, self._wmat = (xp, wmat) if mode == "train" else (None, None)
         y = np.dot(_im2col(xp, k), wmat).reshape(len(x), -1, self.filters)
@@ -224,7 +259,8 @@ class BatchNorm1D(Layer):
     batch statistics and updates running stats with momentum 0.9, kept
     in the parameter dtype; infer/mc_infer use the running stats.
     Per-channel vectors are tiled to a row of L*C values before they
-    broadcast, which keeps the elementwise loops long.
+    broadcast, which keeps the elementwise loops long; while held, the
+    four rows of an inference pass are held per length.
     """
 
     MOMENTUM = 0.9
@@ -248,30 +284,41 @@ class BatchNorm1D(Layer):
             raise ShapeMismatch(f"{self.name}: expected {c} channels")
         rows = x.reshape(len(x), -1)  # [B, L*C]
         reps = rows.shape[1] // c
-        if mode == "train":
-            if len(x) < 2:
-                raise BatchTooSmall(f"{self.name}: train mode needs batch >= 2")
-            n = rows.size // c
-            mean = np.einsum("nc->c", rows.reshape(-1, c)) / n
-            xhat = rows - np.tile(mean, reps)
-            flat = xhat.reshape(-1, c)
-            var = np.einsum("nc,nc->c", flat, flat) / n
-            m = self.MOMENTUM
-            for stat, batch in ((self.running_mean, mean),
-                                (self.running_var, var)):
-                stat.value = (m * stat.value + (1 - m) * batch).astype(
-                    stat.value.dtype, copy=False)
-        else:
-            xhat = rows - np.tile(self.running_mean.value, reps)
-            var = self.running_var.value
+        if mode != "train":
+            self._cache = None
+            mean_row, ivar_row, gamma_row, beta_row = self._constant(
+                mode, reps, lambda: self._inference_rows(reps))
+            # the train path's operations in one buffer, as xhat is not kept
+            y = rows - mean_row
+            y *= ivar_row
+            y *= gamma_row
+            y += beta_row
+            return y.reshape(x.shape)
+        if len(x) < 2:
+            raise BatchTooSmall(f"{self.name}: train mode needs batch >= 2")
+        n = rows.size // c
+        mean = np.einsum("nc->c", rows.reshape(-1, c)) / n
+        xhat = rows - np.tile(mean, reps)
+        flat = xhat.reshape(-1, c)
+        var = np.einsum("nc,nc->c", flat, flat) / n
+        m = self.MOMENTUM
+        for stat, batch in ((self.running_mean, mean),
+                            (self.running_var, var)):
+            stat.value = (m * stat.value + (1 - m) * batch).astype(
+                stat.value.dtype, copy=False)
         ivar = 1.0 / np.sqrt(var + self.EPS)
         xhat *= np.tile(ivar, reps)
-        self._cache = (xhat, ivar) if mode == "train" else None
-        # outside train xhat is not kept, so y takes its buffer
-        y = np.multiply(xhat, np.tile(self.gamma.value, reps),
-                        out=None if mode == "train" else xhat)
+        self._cache = (xhat, ivar)
+        y = xhat * np.tile(self.gamma.value, reps)
         y += np.tile(self.beta.value, reps)
         return y.reshape(x.shape)
+
+    def _inference_rows(self, reps: int) -> tuple[np.ndarray, ...]:
+        """The running mean, 1/sqrt(running var + eps), gamma and beta,
+        each tiled to a row of reps*C values."""
+        ivar = 1.0 / np.sqrt(self.running_var.value + self.EPS)
+        return tuple(np.tile(v, reps) for v in (
+            self.running_mean.value, ivar, self.gamma.value, self.beta.value))
 
     def backward(self, dy):
         xhat, ivar = self._cache
@@ -354,8 +401,10 @@ class GlobalAvgPool1D(Layer):
         self._l = None
 
     def forward(self, x, mode="train", rng=None):
+        # the sum and the division of x.mean(axis=1), without its
+        # Python-level wrapper
         self._l = x.shape[1]
-        return x.mean(axis=1)
+        return np.add.reduce(x, axis=1) / self._l
 
     def backward(self, dy):
         return np.repeat(dy[:, None, :], self._l, axis=1) / self._l

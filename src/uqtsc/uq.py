@@ -134,6 +134,10 @@ def softplus(z: np.ndarray) -> np.ndarray:
 # rho giving softplus(rho) ~= 0.05, the initial posterior spread
 RHO_INIT = float(np.log(np.expm1(0.05)))
 
+# Rademacher signs, indexed by rng.integers(0, 2): the values and the
+# stream of rng.choice((-1.0, 1.0)) without its Python-level checks
+_SIGNS = np.array((-1.0, 1.0))
+
 
 class FlipoutDense(Layer):
     """Dense layer with a factorized Gaussian weight posterior.
@@ -145,7 +149,8 @@ class FlipoutDense(Layer):
         y = x mu_W + ((x * r) @ dW) * s + mu_b + sigma_b * e_b
 
     In "infer" mode only the posterior means are used.  The noise is
-    drawn in float64 and cast to the input dtype.
+    drawn in float64 and cast to the input dtype.  While held, passes
+    outside train hold sigma = softplus(rho) of the weight and the bias.
     """
 
     stochastic = True
@@ -174,12 +179,12 @@ class FlipoutDense(Layer):
             raise ValueError(f"{self.name}: active mode needs an rng")
         batch = x.shape[0]
         r, s, e_w, e_b = (a.astype(x.dtype, copy=False) for a in (
-            rng.choice((-1.0, 1.0), size=(batch, self.n_in)),
-            rng.choice((-1.0, 1.0), size=(batch, self.n_out)),
+            _SIGNS[rng.integers(0, 2, size=(batch, self.n_in))],
+            _SIGNS[rng.integers(0, 2, size=(batch, self.n_out))],
             rng.normal(size=(self.n_in, self.n_out)),
             rng.normal(size=self.n_out)))
-        sig_w = softplus(self.rho_w.value)
-        sig_b = softplus(self.rho_b.value)
+        sig_w, sig_b = self._constant(mode, "sigma", lambda: (
+            softplus(self.rho_w.value), softplus(self.rho_b.value)))
         dw = sig_w * e_w
         xr = x * r
         y = x @ self.mu_w.value + (xr @ dw) * s \

@@ -29,6 +29,18 @@ def load_file(relpath: str):
     return mod
 
 
+def leaf_layers(layers):
+    """Every layer in layers, with residual blocks opened into their main
+    path and shortcut."""
+    out = []
+    for layer in layers:
+        if isinstance(layer, arch.ResidualBlock):
+            out += leaf_layers(layer.main + layer.shortcut)
+        else:
+            out.append(layer)
+    return out
+
+
 def perturbed_net(family, method, dtype=np.float64, seed=2):
     """A 2-block, pool-2 net whose batch norms look trained: 5 of 16
     gammas negative (a fresh net's are all 1, which never min-pools),

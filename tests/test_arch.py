@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import load_file, perturbed_net
+from conftest import leaf_layers, load_file, perturbed_net
 from uqtsc import arch, cli, uq
 from uqtsc.nncore import (LSTM, BatchNorm1D, Conv1D, Dense, GlobalAvgPool1D,
                           Layer, MaxPool1D, ReLU)
@@ -476,6 +476,35 @@ def test_inference_passes_hold_no_caches(family, method):
         net.forward(x, mode=mode, rng=rng)
         held = [name for layer in net.layers for name in _held_arrays(layer)]
         assert held == [], (mode, held)
+
+
+def test_frozen_nests_drops_on_exit_and_refuses_train():
+    """Residual blocks hold through their sublayers; an inner block's
+    exit keeps the outer one's constants; the outer exit drops them all,
+    also when its block raised; a train pass inside raises."""
+    cfg = arch.ModelConfig(family="resnet", uq="flipout")
+    net = arch.build_network(cfg, 6, 32, seed=4)
+    layers = leaf_layers(net.layers)
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(3, 6, 32))
+    expect = net.forward(x, mode="mc_infer", rng=np.random.default_rng(13))
+    with net.frozen():
+        with net.frozen():
+            got = net.forward(x, mode="mc_infer",
+                              rng=np.random.default_rng(13))
+        held = {type(layer).__name__ for layer in layers if layer._held}
+        assert held == {"Conv1D", "BatchNorm1D", "FlipoutDense"}
+        with pytest.raises(RuntimeError, match="frozen"):
+            net.forward(x, mode="train", rng=rng)
+        again = net.forward(x, mode="mc_infer", rng=np.random.default_rng(13))
+    assert got.tobytes() == expect.tobytes() == again.tobytes()
+    assert all(layer._held is None for layer in layers)
+    with pytest.raises(KeyError):
+        with net.frozen():
+            net.forward(x, mode="infer")
+            raise KeyError("lane")
+    assert all(layer._held is None for layer in layers)
+    net.forward(x, mode="train", rng=rng)
 
 
 def test_unknown_uq_method_rejected():

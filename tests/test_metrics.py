@@ -3,13 +3,14 @@
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from conftest import perturbed_net
-from uqtsc import arch, metrics
-from uqtsc.nncore import LSTM, ShapeMismatch, blas
+from conftest import leaf_layers, perturbed_net
+from uqtsc import arch, metrics, training, uq
+from uqtsc.nncore import LSTM, BatchNorm1D, ShapeMismatch, blas
 from uqtsc.nncore.layers import softmax
 
 
@@ -253,13 +254,16 @@ def test_posterior_bytes_do_not_depend_on_lanes(family, method, monkeypatch):
 
 @pytest.mark.parametrize("family, method, dtype", [
     pytest.param(f, m, d, id=f"{f}-{m}-{np.dtype(d).name}")
-    for f in ("cnn", "cnn_lstm") for m in arch.UQ_METHODS
+    for f in arch.FAMILIES for m in arch.UQ_METHODS
     for d in (np.float64, np.float32)])
 def test_posterior_plan_bytes_equal_unfused_for_any_lanes(family, method,
                                                           dtype, monkeypatch):
-    """Batch norms as training leaves them (5 of 16 gammas negative,
-    running means shifted), so both conv blocks min-pool some channels:
-    the samples of 1, 2 and 3 lanes are the layer-by-layer bytes."""
+    """Top-level batch norms as training leaves them (5 of 16 gammas
+    negative, running means shifted), so the cnn and cnn_lstm conv blocks
+    min-pool some channels: for every family, the samples of 1, 2 and 3
+    lanes, which run the inference plan with each layer's constants held
+    for the call, are the bytes of plain layer-by-layer passes outside
+    any frozen() block."""
     net = perturbed_net(family, method, dtype)
     x = np.random.default_rng(48).normal(size=(150, 6, 32)).astype(dtype)
     expect = _plain_samples(net, x, 3, np.random.default_rng(49)).tobytes()
@@ -306,8 +310,9 @@ def test_posterior_concurrent_callers_restore_blas_threads(openblas_at_two,
                                                            monkeypatch):
     """Four threads in the posterior at once, two lanes each, under a short
     switch interval: every forward runs at one OpenBLAS thread, each
-    caller gets its plain-loop bytes, and the count is restored when all
-    have left."""
+    caller gets its plain-loop bytes, though all fill and read one set of
+    held constants, and the count is restored and nothing is held when
+    all have left."""
     get_threads = openblas_at_two
     monkeypatch.setattr(metrics, "_usable_cores", lambda: 2)
     net = _family_net("cnn", "mc_dropout")
@@ -334,6 +339,8 @@ def test_posterior_concurrent_callers_restore_blas_threads(openblas_at_two,
     assert not any(t.is_alive() for t in callers)
     assert seen == {1}
     assert get_threads() == 2
+    assert net._frozen == 0
+    assert all(layer._held is None for layer in net.layers)
     for i in range(4):
         expect = _plain_samples(net, x, 3, np.random.default_rng(32 + i))
         assert out[i].tobytes() == expect.tobytes()
@@ -407,6 +414,98 @@ def test_posterior_prefix_runs_once_per_chunk(family, method, first, step):
     chunks = -(-150 // step)
     assert counts == [chunks] * first + [3 * chunks] * (len(net.layers)
                                                         - first)
+
+
+# ---------------------------------------------------------------------------
+# inference constants held for one posterior call
+
+
+@pytest.mark.parametrize("family, method", [
+    ("cnn", "mc_dropout"), ("resnet", "flipout"), ("cnn_lstm", "none")])
+def test_posterior_holds_nothing_after_return_or_raise(family, method,
+                                                       monkeypatch):
+    """Constants are held while the passes run, and nothing is held once
+    the call returns, or once a lane has raised (row 12 is in chunk 1,
+    which lane 1 runs)."""
+    monkeypatch.setattr(metrics, "_usable_cores", lambda: 2)
+    net = _family_net(family, method)
+    layers = leaf_layers(net.layers)
+    seen = _spy(net, lambda: sum(bool(layer._held) for layer in layers))
+    x = np.random.default_rng(33).normal(size=(40, 6, 32))
+    metrics.predictive_posterior(net, x, m=3)
+    assert max(seen) > 0
+    assert all(layer._held is None for layer in layers)
+    x[12, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        metrics.predictive_posterior(net, x, m=3)
+    assert all(layer._held is None for layer in layers)
+    assert net._frozen == 0
+
+
+def test_posterior_dropconnect_conv_redraws_weight_every_pass(monkeypatch):
+    """One window, M = 10: each DropConnect conv masks its weight on all
+    10 passes and holds nothing, so the 10 samples differ."""
+    net = _family_net("cnn", "dropconnect")
+    draws, held = Counter(), []
+    masked = uq._Bernoulli._masked
+
+    def counted(self, v, mode, rng):
+        draws[self.name] += 1
+        held.append(self._held)
+        return masked(self, v, mode, rng)
+
+    monkeypatch.setattr(uq._Bernoulli, "_masked", counted)
+    x = np.random.default_rng(34).normal(size=(1, 6, 32))
+    dist = metrics.predictive_posterior(net, x, m=10)
+    convs = [layer.name for layer in net.layers
+             if isinstance(layer, uq.DropConnectConv1D)]
+    assert len(convs) == 2 and {draws[name] for name in convs} == {10}
+    assert held == [{}] * 20
+    assert len({row.tobytes() for row in dist.samples[:, 0]}) == 10
+
+
+@pytest.mark.parametrize("family, method", [
+    ("cnn", "mc_dropout"), ("cnn_lstm", "flipout"), ("resnet", "none")])
+def test_posterior_after_train_step_equals_loaded_checkpoint(family, method,
+                                                             tmp_path):
+    """An epoch of training between two posterior calls moves every
+    weight, batch-norm statistic and Flipout rho; the second call gives
+    the samples of the trained network loaded afresh."""
+    net = _family_net(family, method)
+    rng = np.random.default_rng(35)
+    x = rng.normal(size=(20, 6, 32))
+    y = rng.integers(0, 2, size=20)
+    metrics.predictive_posterior(net, x, m=3)
+    training.train_network(net, x, y, x, y, epochs=1, seed=0)
+    after = metrics.predictive_posterior(net, x, m=3,
+                                         rng=np.random.default_rng(36))
+    arch.save_network(net, tmp_path / "net.ckpt")
+    loaded, _ = arch.load_network(tmp_path / "net.ckpt")
+    fresh = metrics.predictive_posterior(loaded, x, m=3,
+                                         rng=np.random.default_rng(36))
+    assert after.samples.tobytes() == fresh.samples.tobytes()
+
+
+def test_posterior_tiles_batch_norm_rows_once_per_length(monkeypatch):
+    """One window, M = 10: both batch norms follow the first dropout, so
+    they run on every pass, each at one length, and tile their rows
+    once."""
+    net = _family_net("cnn", "mc_dropout")
+    tiled = Counter()
+    rows_of = BatchNorm1D._inference_rows
+
+    def counted(self, reps):
+        tiled[self.name, reps] += 1
+        return rows_of(self, reps)
+
+    monkeypatch.setattr(BatchNorm1D, "_inference_rows", counted)
+    counts = _count_forwards(net)
+    x = np.random.default_rng(37).normal(size=(1, 6, 32))
+    metrics.predictive_posterior(net, x, m=10)
+    bns = [i for i, layer in enumerate(net.layers)
+           if isinstance(layer, BatchNorm1D)]
+    assert len(bns) == 2 and [counts[i] for i in bns] == [10, 10]
+    assert len(tiled) == 2 and set(tiled.values()) == {1}
 
 
 def test_posterior_rejects_unnormalized():

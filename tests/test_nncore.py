@@ -93,6 +93,42 @@ def test_conv1d_same_preserves_length():
         assert y.shape == (1, 20, 1)
 
 
+@pytest.mark.parametrize("windows", (1, 30))
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+@pytest.mark.parametrize("k", range(1, 13))
+def test_pad_same_bytes_equal_np_pad(k, dtype, windows):
+    """A [B, L, C] view of a [B, C, L] array, signed zeros included: the
+    bytes of np.pad (no padding for k = 1), always C-contiguous."""
+    rng = np.random.default_rng(k)
+    raw = rng.normal(size=(windows, 5, 17)).astype(dtype)
+    raw[:, 1, ::3] = -0.0
+    x = raw.transpose(0, 2, 1)
+    xp, left, right = nn.layers.pad_same(x, k)
+    assert (left, right) == ((k - 1) // 2, k - 1 - (k - 1) // 2)
+    expect = np.pad(x, ((0, 0), (left, right), (0, 0)))
+    assert xp.dtype == expect.dtype and xp.shape == expect.shape
+    assert xp.flags.c_contiguous
+    assert xp.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("windows", (1, 3))
+@pytest.mark.parametrize("k", (1, 4, 9))
+def test_im2col_rows_and_read_only(k, windows):
+    """Row b*Lout + t is window t of batch b, flattened; where the result
+    is a view of the padded input, it is read-only."""
+    rng = np.random.default_rng(k)
+    xp = rng.normal(size=(windows, 12, 4))
+    cols = nn.layers._im2col(xp, k)
+    lout = 12 - k + 1
+    expect = np.stack([xp[b, t:t + k].reshape(-1)
+                       for b in range(windows) for t in range(lout)])
+    assert cols.tobytes() == expect.tobytes()
+    if np.shares_memory(cols, xp):
+        assert not cols.flags.writeable
+    if windows == 1:  # one window's rows need no copy
+        assert np.shares_memory(cols, xp)
+
+
 # ---------------------------------------------------------------------------
 # batchnorm
 
@@ -227,6 +263,17 @@ def test_gap_constant_and_hand():
     np.testing.assert_allclose(gap.forward(np.full((2, 5, 3), 4.0)), 4.0)
     y = gap.forward(np.array([[[1.0, 2.0, 3.0]]]).transpose(0, 2, 1))
     assert y[0, 0] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("length", (1, 7, 100, 401))
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+def test_gap_forward_bytes_equal_mean(dtype, length):
+    rng = np.random.default_rng(length)
+    x = rng.normal(size=(3, 5, length)).astype(dtype).transpose(0, 2, 1)
+    y = nn.GlobalAvgPool1D().forward(x, mode="infer")
+    expect = x.mean(axis=1)
+    assert y.dtype == expect.dtype
+    assert y.tobytes() == expect.tobytes()
 
 
 def test_gap_matches_loop_oracle():

@@ -337,6 +337,26 @@ def test_flipout_variance_oracle():
     np.testing.assert_allclose(draws.var(axis=0), expect, rtol=0.05)
 
 
+@pytest.mark.parametrize("bitgen", (np.random.PCG64, np.random.MT19937))
+def test_flipout_signs_are_the_draws_of_choice(bitgen):
+    """Sign vectors from rng.integers(0, 2) equal those of
+    rng.choice((-1.0, 1.0)), and leave the stream where choice does."""
+    for seed in range(20):
+        for shape in ((1, 6), (8, 32), (32, 1), (3, 7), (64, 2)):
+            a = np.random.Generator(bitgen(seed))
+            b = np.random.Generator(bitgen(seed))
+            if seed % 2:  # a buffered 32-bit half in both
+                a.integers(2 ** 32, dtype=np.uint32)
+                b.integers(2 ** 32, dtype=np.uint32)
+            got = uq._SIGNS[a.integers(0, 2, size=shape)]
+            want = b.choice((-1.0, 1.0), size=shape)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+            assert a.integers(2 ** 32, dtype=np.uint32) == \
+                b.integers(2 ** 32, dtype=np.uint32)
+            assert a.random() == b.random()
+
+
 def test_flipout_grad_check_frozen_rng():
     assert uq.flipout_grad_check(seed=0) < 1e-5
 
