@@ -1,9 +1,12 @@
 """Training-loop contract: determinism, learning, ELBO bookkeeping."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from uqtsc import arch, training, uq
+from uqtsc.nncore import blas
 from uqtsc.nncore.layers import Dense
 
 
@@ -126,3 +129,61 @@ def test_rejects_tiny_training_set():
         training.train_network(_toy_net(), x, y, x, y, epochs=1, seed=0)
     with pytest.raises(training.EmptyTrainingSet):
         training.evaluate(_toy_net(), np.zeros((0, 3, 16)), np.zeros(0))
+
+
+# ---------------------------------------------------------------------------
+# training bytes, pinned
+
+
+# (config fields, SHA-256 over every parameter after one seeded float32
+# epoch of `_pinned_run`): conv forward and backward at odd and even
+# widths, DropConnect convs, an LSTM with a Flipout head, the FCN and the
+# ResNet, so a kernel change that moves a float32 training byte fails here.
+# The epoch runs on one OpenBLAS thread, as some GEMM shapes round
+# differently at one thread and at two, so the digests hold on any core
+# count.
+PINNED_EPOCH = {
+    "cnn-mc_dropout": (
+        dict(family="cnn", uq="mc_dropout", cnn_blocks=3, f1=58, f2=53,
+             f3=68, k1=8, k2=9, k3=5, max_pool=2),
+        "d01578da91234c3c640544fc90dc4ec52ceeadc9b9dfae4f3d3cd19cb531348c"),
+    "cnn-dropconnect": (
+        dict(family="cnn", uq="dropconnect", cnn_blocks=2, f1=33, f2=47,
+             k1=7, k2=10, max_pool=3),
+        "d636716197d86c66b616c8bc71e254216ea12f1f7f9eea7ae99daabd923a9540"),
+    "cnn_lstm-flipout": (
+        dict(family="cnn_lstm", uq="flipout", cnn_blocks=2, f1=24, f2=17,
+             k1=6, k2=5, max_pool=2, lstm_layers=2, u1=12, u2=9),
+        "5c12fc84233be6bca5adf725163a3833733ae3494b3e94ee355aa0a0cb97817b"),
+    "fcn-none": (
+        dict(family="fcn"),
+        "3aada1790090ec92cc5b9d4b4c2c11b258c8265646613b672a37e96f36661630"),
+    "resnet-dropconnect": (
+        dict(family="resnet", uq="dropconnect"),
+        "ed91526fb78231357e4b7dfaa7490039a393ccdc06003de8b0bc6d05abdd3f4e"),
+}
+
+
+def _pinned_run(fields):
+    """SHA-256 of every parameter's name, shape and bytes (all float32), in
+    network order, after one float32 epoch on 60 windows of 6 x 48 in
+    batches of 30."""
+    x, y = _toy_data(60, 31, channels=6, window=48)
+    xv, yv = _toy_data(16, 32, channels=6, window=48)
+    cfg = arch.ModelConfig(batch_size=30, dropout_rate=0.2, **fields)
+    net = arch.build_network(cfg, 6, 48, seed=33)
+    with blas.one_thread():
+        training.train_network(net, x, y, xv, yv, epochs=1, seed=34,
+                               dtype=np.float32)
+    digest = hashlib.sha256()
+    for p in net.params():
+        assert p.value.dtype == np.float32
+        digest.update(f"{p.name}:{p.value.shape}".encode())
+        digest.update(p.value.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", PINNED_EPOCH)
+def test_float32_epoch_parameter_bytes_pinned(case):
+    fields, sha = PINNED_EPOCH[case]
+    assert _pinned_run(fields) == sha
