@@ -186,6 +186,14 @@ def _fused_starts(layers: list[Layer]) -> tuple[int, ...]:
                  and isinstance(layers[i + 2], MaxPool1D))
 
 
+def _gamma_sign(bn: BatchNorm1D, dtype):
+    """The sign of bn's gamma as +-1 per channel in dtype (+1 at zero), or
+    False where no gamma is negative."""
+    negative = bn.gamma.value < 0
+    return np.where(negative, -1, 1).astype(dtype) if negative.any() \
+        else False
+
+
 def _pool_first(bn: BatchNorm1D, relu: ReLU, pool: MaxPool1D, z,
                 mode: str) -> np.ndarray:
     """pool(relu(bn(z))) outside train, with bn and relu run on pooled z.
@@ -198,17 +206,17 @@ def _pool_first(bn: BatchNorm1D, relu: ReLU, pool: MaxPool1D, z,
     gamma (exact), then running bn and relu gives the same values.  Only
     the sign of a zero can differ: where a window's largest bn output is
     exactly +0 and an earlier position's is negative, this returns +0 and
-    the unfused order -0, the first of its tied relu zeros.  gamma is
-    read on every call, as it moves between the validation passes of a
-    training run.
+    the unfused order -0, the first of its tied relu zeros.  gamma moves
+    between the validation passes of a training run, so s is derived on
+    every call unless bn holds its constants.
     """
-    negative = bn.gamma.value < 0
-    if negative.any():
-        s = np.where(negative, -1, 1).astype(z.dtype)
+    s = bn._constant(mode, ("sign", z.dtype),
+                     lambda: _gamma_sign(bn, z.dtype))
+    if s is False:
+        h = pool.forward(z, mode=mode)
+    else:
         h = pool.forward(z * s, mode=mode)
         h *= s
-    else:
-        h = pool.forward(z, mode=mode)
     return relu.forward(bn.forward(h, mode=mode), mode=mode)
 
 
@@ -280,6 +288,7 @@ class Network:
         self.window_length = window_length
         self._frozen = 0  # open frozen() blocks, in any thread
         self._frozen_lock = threading.Lock()
+        self._fused = None  # _fused_starts(layers) while frozen
 
     @contextmanager
     def frozen(self):
@@ -287,7 +296,8 @@ class Network:
 
         Inside, passes outside train reuse what the layers derive from the
         parameters (`Layer.hold`): a plain conv's weight matrix, a batch
-        norm's tiled rows, a Flipout head's sigmas.  So the parameters
+        norm's tiled rows and gamma sign, a Flipout head's sigmas; and the
+        network reuses its inference plan.  So the layers and parameters
         must not change, and a train-mode forward raises.  Blocks may
         nest and overlap across threads: the first to enter starts
         holding, and the last to leave drops everything held, whether its
@@ -297,6 +307,7 @@ class Network:
             if not self._frozen:
                 for layer in self.layers:
                     layer.hold(True)
+                self._fused = _fused_starts(self.layers)
             self._frozen += 1
         try:
             yield self
@@ -306,6 +317,7 @@ class Network:
                 if not self._frozen:
                     for layer in self.layers:
                         layer.hold(False)
+                    self._fused = None
 
     def params(self) -> list[Param]:
         return [p for layer in self.layers for p in layer.params()]
@@ -351,7 +363,8 @@ class Network:
                 raise RuntimeError("train-mode forward inside frozen()")
             return _run(layers[start:stop], x, mode, rng)
         start, stop, _ = slice(start, stop).indices(len(layers))
-        for lo in _fused_starts(layers):
+        fused = self._fused
+        for lo in _fused_starts(layers) if fused is None else fused:
             if start <= lo and lo + 3 <= stop:
                 x = _run(layers[start:lo], x, mode, rng)
                 x = _pool_first(*layers[lo:lo + 3], x, mode)

@@ -105,9 +105,9 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
     is raised here.  Where no OpenBLAS is found, one lane runs them all.
     The samples are the same bytes for any lane count.  The lanes run
     inside `net.frozen()`, so each layer derives its inference constants
-    (a plain conv's weight matrix, a batch norm's tiled rows, Flipout's
-    sigmas) once per call, not once per pass; nothing stays held after
-    the call.
+    (a plain conv's weight matrix, a batch norm's tiled rows and gamma
+    sign, Flipout's sigmas) and the network its inference plan once per
+    call, not once per pass; nothing stays held after the call.
 
     Softmax runs on float64 logits, so float32 networks yield rows that
     sum to 1 within 1e-9.

@@ -184,7 +184,11 @@ class Conv1D(Layer):
     Implemented as one GEMM of the im2col matrix of the padded input
     against the [k*C, F] weight matrix, whose output is already
     [batch, length, filters].  A plain (not stochastic) conv holds that
-    matrix per dtype while held.
+    matrix per dtype while held.  A train pass keeps its im2col matrix
+    until backward, which takes dw from it with one GEMM and dx from k
+    products of dy with one offset's weight rows each, every one added
+    into dx shifted by its offset: no matrix k times the input's size is
+    built there.
     """
 
     def __init__(self, n_in: int, filters: int, kernel: int,
@@ -195,8 +199,7 @@ class Conv1D(Layer):
         self.w = Param(f"{name}_w",
                        _fan_in_uniform(rng, (filters, n_in, kernel), fan_in))
         self.b = Param(f"{name}_b", np.zeros(filters))
-        self._xp = self._wmat = None
-        self._pads = (0, 0)
+        self._col = self._wmat = None
 
     def params(self):
         return [self.w, self.b]
@@ -212,7 +215,7 @@ class Conv1D(Layer):
             raise ShapeMismatch(
                 f"{self.name}: expected [batch, len, {self.n_in}], got {x.shape}")
         k = self.kernel
-        xp, left, right = pad_same(x, k)
+        col = _im2col(pad_same(x, k)[0], k)
 
         def relayout():
             # [F, C, k] -> [k*C, F], rows in im2col column order; the cast
@@ -222,33 +225,47 @@ class Conv1D(Layer):
 
         wmat = relayout() if self.stochastic else self._constant(
             mode, x.dtype, relayout)
-        self._pads = (left, right)
-        self._xp, self._wmat = (xp, wmat) if mode == "train" else (None, None)
-        y = np.dot(_im2col(xp, k), wmat).reshape(len(x), -1, self.filters)
+        if mode == "train":
+            self._col, self._wmat = col, wmat
+        else:
+            self._col = self._wmat = None
+        y = np.dot(col, wmat).reshape(len(x), -1, self.filters)
         y += self.b.value
         return y
 
     def backward(self, dy, input_grad=True):
         """Accumulate the weight and bias gradients, then return dx.
 
-        With input_grad=False nothing is returned and the dx GEMM and
-        col2im are skipped: a network's first layer has no use for dx.
+        dx is col2im's sum without its matrix: for each offset j, the
+        product of dy with weight rows j*C:(j+1)*C lands on input step
+        t + j - left for output step t, and is added where that step
+        exists, in j order from zeros.  With input_grad=False nothing is
+        returned and the dx products are skipped: a network's first
+        layer has no use for dx.
         """
-        xp, (left, right) = self._xp, self._pads
+        col, wmat = self._col, self._wmat
+        self._col = self._wmat = None
         b, l_out, f = dy.shape
         k, c = self.kernel, self.n_in
         dy2 = dy.reshape(b * l_out, f)
-        dw = np.dot(dy2.T, _im2col(xp, k))
+        dw = np.dot(dy2.T, col)
+        del col  # freed before dx's buffers are allocated
         self._backprop_weight(dw.reshape(f, k, c).transpose(0, 2, 1))
         self.b.grad += dy2.sum(axis=0)
         if not input_grad:
             return None
-        dcol = np.dot(dy2, self._wmat.T).reshape(b, l_out, k, c)
-        # col2im in the input's dtype: scatter-add each kernel offset
-        dxp = np.zeros((b, l_out + k - 1, c), dtype=xp.dtype)
+        left = (k - 1) // 2
+        dx = np.zeros((b, l_out, c), dtype=wmat.dtype)  # the input's dtype
+        part = np.empty((b * l_out, c), dtype=np.result_type(dy2, wmat))
+        steps = part.reshape(b, l_out, c)
         for j in range(k):
-            dxp[:, j:j + l_out] += dcol[:, :, j]
-        return dxp[:, left:xp.shape[1] - right]
+            s = j - left  # dy at step t reaches input step t + s
+            lo, hi = max(0, s), l_out + min(0, s)
+            if lo >= hi:
+                continue
+            np.dot(dy2, wmat[j * c:(j + 1) * c].T, out=part)
+            dx[:, lo:hi] += steps[:, lo - s:hi - s]
+        return dx
 
 
 class BatchNorm1D(Layer):

@@ -464,6 +464,34 @@ def test_posterior_dropconnect_conv_redraws_weight_every_pass(monkeypatch):
     assert len({row.tobytes() for row in dist.samples[:, 0]}) == 10
 
 
+@pytest.mark.parametrize("dtype", (np.float64, np.float32))
+def test_posterior_plans_once_per_call(dtype, monkeypatch):
+    """One window, M = 10: the fused runs are found once per call, and
+    each fused batch norm's gamma sign (5 of 16 negative) is derived once;
+    the samples are the layer-by-layer ones."""
+    net = perturbed_net("cnn", "mc_dropout", dtype)
+    fused_starts, gamma_sign = arch._fused_starts, arch._gamma_sign
+    plans, signs = [], Counter()
+
+    def counted_plan(layers):
+        plans.append(len(layers))
+        return fused_starts(layers)
+
+    def counted_sign(bn, sign_dtype):
+        signs[bn.name] += 1
+        return gamma_sign(bn, sign_dtype)
+
+    monkeypatch.setattr(arch, "_fused_starts", counted_plan)
+    monkeypatch.setattr(arch, "_gamma_sign", counted_sign)
+    x = np.random.default_rng(37).normal(size=(1, 6, 32)).astype(dtype)
+    dist = metrics.predictive_posterior(net, x, m=10,
+                                        rng=np.random.default_rng(38))
+    assert plans == [len(net.layers)]
+    assert signs == {"b1_bn": 1, "b2_bn": 1}
+    expect = _plain_samples(net, x, 10, np.random.default_rng(38))
+    assert dist.samples.tobytes() == expect.tobytes()
+
+
 @pytest.mark.parametrize("family, method", [
     ("cnn", "mc_dropout"), ("cnn_lstm", "flipout"), ("resnet", "none")])
 def test_posterior_after_train_step_equals_loaded_checkpoint(family, method,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uqtsc import nncore as nn
+from uqtsc import uq
 
 
 RNG = np.random.default_rng(0)
@@ -127,6 +128,130 @@ def test_im2col_rows_and_read_only(k, windows):
         assert not cols.flags.writeable
     if windows == 1:  # one window's rows need no copy
         assert np.shares_memory(cols, xp)
+
+
+def _col2im_backward(conv, x, dy, input_grad=True):
+    """The one-GEMM conv backward as a reference, after conv's train
+    forward of x: dw from a fresh im2col of the padded input, dx from one
+    [B*L, k*C] dcol product with the pass's weight matrix, scattered back
+    offset by offset over the padded length, then cropped."""
+    k, c = conv.kernel, conv.n_in
+    xp, left, right = nn.layers.pad_same(x, k)
+    b, l_out, f = dy.shape
+    dy2 = dy.reshape(b * l_out, f)
+    dw = np.dot(dy2.T, nn.layers._im2col(xp, k))
+    conv._backprop_weight(dw.reshape(f, k, c).transpose(0, 2, 1))
+    conv.b.grad += dy2.sum(axis=0)
+    if not input_grad:
+        return None
+    dcol = np.dot(dy2, conv._wmat.T).reshape(b, l_out, k, c)
+    dxp = np.zeros((b, l_out + k - 1, c), dtype=xp.dtype)
+    for j in range(k):
+        dxp[:, j:j + l_out] += dcol[:, :, j]
+    return dxp[:, left:xp.shape[1] - right]
+
+
+def _conv_pair(c, k, dtype, dropconnect=False):
+    """Two identical convs of c -> 11 channels, DropConnect-wrapped or
+    not, with nonzero gradients already accumulated."""
+    pair = []
+    for _ in range(2):
+        conv = nn.Conv1D(c, 11, k, np.random.default_rng(k))
+        if dropconnect:
+            conv = uq.DropConnectConv1D(conv, 0.3)
+        conv.astype(dtype)
+        for p in conv.params():
+            p.grad += np.random.default_rng(c).normal(size=p.grad.shape)
+        pair.append(conv)
+    return pair
+
+
+def _assert_backward_equal(pairs, dtype):
+    """Each (got, want) pair: float32 bytes equal; float64 within 1e-12
+    relative (of the largest magnitude where an element's terms cancel)."""
+    for a, b in pairs:
+        assert a.dtype == b.dtype == dtype and a.shape == b.shape
+    if dtype == np.float32:
+        assert [a.tobytes() for a, _ in pairs] == \
+            [b.tobytes() for _, b in pairs]
+    else:
+        for a, b in pairs:
+            np.testing.assert_allclose(a, b, rtol=1e-12,
+                                       atol=1e-12 * np.abs(b).max())
+
+
+def _backward_against_reference(c, k, batch, length, dtype, dropconnect,
+                                input_grad=True):
+    ours, ref = _conv_pair(c, k, dtype, dropconnect)
+    rng = np.random.default_rng(batch * length)
+    x = rng.normal(size=(batch, length, c)).astype(dtype)
+    dy = rng.normal(size=(batch, length, 11)).astype(dtype)
+    for conv in (ours, ref):
+        conv.forward(x, mode="train", rng=np.random.default_rng(9))
+    dx = ours.backward(dy, input_grad=input_grad)
+    want = _col2im_backward(ref, x, dy, input_grad)
+    pairs = [(ours.w.grad, ref.w.grad), (ours.b.grad, ref.b.grad)]
+    if input_grad:
+        assert dx.flags.c_contiguous
+        pairs.append((dx, want))
+    else:
+        assert dx is None
+    _assert_backward_equal(pairs, dtype)
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("c", (6, 53, 64))
+@pytest.mark.parametrize("batch", (1, 2, 30))
+@pytest.mark.parametrize("k", (1, 2, 3, 8, 9, 16))
+def test_conv_backward_equals_col2im(k, batch, c, dtype):
+    """dw from the kept im2col matrix and dx from k shifted products
+    against the one-GEMM col2im backward, at lengths below k too, where
+    some offsets reach no input step."""
+    for length in (1, 5, 37):
+        _backward_against_reference(c, k, batch, length, dtype, False)
+
+
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+@pytest.mark.parametrize("k, batch, c", ((9, 30, 53), (16, 2, 64), (3, 1, 6)))
+def test_dropconnect_conv_backward_equals_col2im(k, batch, c, dtype):
+    """The masked weight's dx and the masked weight gradient."""
+    for length in (5, 37):
+        _backward_against_reference(c, k, batch, length, dtype, True)
+
+
+@pytest.mark.parametrize("dropconnect", (False, True))
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_conv_backward_without_input_grad(dtype, dropconnect):
+    """input_grad=False returns None and still adds dw and db to the
+    gradients already there."""
+    _backward_against_reference(53, 9, 30, 37, dtype, dropconnect,
+                                input_grad=False)
+
+
+@pytest.mark.parametrize("dropconnect", (False, True))
+def test_conv_keeps_no_im2col_matrix(dropconnect):
+    """After backward, and after an infer or mc_infer pass, a conv holds
+    no array as large as its input."""
+    conv, _ = _conv_pair(8, 9, np.float32, dropconnect)
+    x = np.random.default_rng(3).normal(size=(4, 60, 8)).astype(np.float32)
+
+    def large():
+        return [name for name, v in vars(conv).items()
+                if isinstance(v, np.ndarray) and v.size >= x.size]
+
+    dy = np.ones((4, 60, 11), dtype=np.float32)
+    train = np.random.default_rng(4)
+    conv.forward(x, mode="train", rng=train)
+    assert large() == ["_col"]  # 9x the input, until backward
+    conv.backward(dy)
+    assert large() == []
+    conv.forward(x, mode="train", rng=train)
+    conv.backward(dy, input_grad=False)
+    assert large() == []
+    for mode in ("infer", "mc_infer"):
+        conv.forward(x, mode="train", rng=train)
+        conv.forward(x, mode=mode, rng=np.random.default_rng(5))
+        assert large() == []
 
 
 # ---------------------------------------------------------------------------
