@@ -146,22 +146,21 @@ class Dense(Layer):
         return dy @ self._w_used.T
 
 
-def pad_same(x: np.ndarray, k: int) -> tuple[np.ndarray, int, int]:
+def pad_same(x: np.ndarray, k: int) -> np.ndarray:
     """Zero-pad the time axis of [B, L, C] so a valid k-conv preserves length.
 
     Total padding k-1 split floor-left / ceil-right.  The result is
     C-contiguous: a new array, or with k = 1 x itself where x already is.
     """
+    if k == 1:
+        return np.ascontiguousarray(x)
     left = (k - 1) // 2
-    right = k - 1 - left
-    if left == 0 and right == 0:
-        return np.ascontiguousarray(x), 0, 0
     b, l, c = x.shape
     xp = np.empty((b, l + k - 1, c), dtype=x.dtype)
     xp[:, :left] = 0
     xp[:, left + l:] = 0
     xp[:, left:left + l] = x
-    return xp, left, right
+    return xp
 
 
 def _im2col(xp: np.ndarray, k: int) -> np.ndarray:
@@ -215,7 +214,7 @@ class Conv1D(Layer):
             raise ShapeMismatch(
                 f"{self.name}: expected [batch, len, {self.n_in}], got {x.shape}")
         k = self.kernel
-        col = _im2col(pad_same(x, k)[0], k)
+        col = _im2col(pad_same(x, k), k)
 
         def relayout():
             # [F, C, k] -> [k*C, F], rows in im2col column order; the cast

@@ -104,9 +104,9 @@ def test_pad_same_bytes_equal_np_pad(k, dtype, windows):
     raw = rng.normal(size=(windows, 5, 17)).astype(dtype)
     raw[:, 1, ::3] = -0.0
     x = raw.transpose(0, 2, 1)
-    xp, left, right = nn.layers.pad_same(x, k)
-    assert (left, right) == ((k - 1) // 2, k - 1 - (k - 1) // 2)
-    expect = np.pad(x, ((0, 0), (left, right), (0, 0)))
+    xp = nn.layers.pad_same(x, k)
+    left = (k - 1) // 2
+    expect = np.pad(x, ((0, 0), (left, k - 1 - left), (0, 0)))
     assert xp.dtype == expect.dtype and xp.shape == expect.shape
     assert xp.flags.c_contiguous
     assert xp.tobytes() == expect.tobytes()
@@ -136,7 +136,8 @@ def _col2im_backward(conv, x, dy, input_grad=True):
     [B*L, k*C] dcol product with the pass's weight matrix, scattered back
     offset by offset over the padded length, then cropped."""
     k, c = conv.kernel, conv.n_in
-    xp, left, right = nn.layers.pad_same(x, k)
+    xp = nn.layers.pad_same(x, k)
+    left = (k - 1) // 2
     b, l_out, f = dy.shape
     dy2 = dy.reshape(b * l_out, f)
     dw = np.dot(dy2.T, nn.layers._im2col(xp, k))
@@ -148,7 +149,7 @@ def _col2im_backward(conv, x, dy, input_grad=True):
     dxp = np.zeros((b, l_out + k - 1, c), dtype=xp.dtype)
     for j in range(k):
         dxp[:, j:j + l_out] += dcol[:, :, j]
-    return dxp[:, left:xp.shape[1] - right]
+    return dxp[:, left:left + l_out]
 
 
 def _conv_pair(c, k, dtype, dropconnect=False):
