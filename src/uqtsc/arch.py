@@ -12,11 +12,13 @@ dense layer.
 A network is one layer list and a residual block is two (its main path
 and its shortcut); every list runs through the same forward and backward
 loop, and `Network.forward(start=, stop=)` runs any slice of the stack.
-Outside train mode a network runs its inference plan: every
-BatchNorm1D -> ReLU -> MaxPool1D run pools first, so batch norm and relu
-touch 1/p of the data, with the same values (see `_pool_first`).  Inside
-`Network.frozen()` its layers hold the constants they derive from the
-parameters, so repeated inference passes derive them once.
+Every BatchNorm1D -> ReLU -> MaxPool1D run pools early, with the same
+values: outside train mode it pools first, so batch norm and relu touch
+1/p of the data (see `_pool_first`); in train mode batch norm needs the
+full length for its statistics, so only relu moves after the pool (see
+`_pool_then_relu`).  Inside `Network.frozen()` its layers hold the
+constants they derive from the parameters, so repeated inference passes
+derive them once.
 """
 
 from __future__ import annotations
@@ -220,6 +222,30 @@ def _pool_first(bn: BatchNorm1D, relu: ReLU, pool: MaxPool1D, z,
     return relu.forward(bn.forward(h, mode=mode), mode=mode)
 
 
+def _pool_then_relu(bn: BatchNorm1D, relu: ReLU, pool: MaxPool1D,
+                    z) -> np.ndarray:
+    """pool(relu(bn(z))) in train mode, with relu run on pooled values.
+
+    relu is non-decreasing and the pool keeps the first maximum, so the
+    values are the same, and `Network.backward`, which walks the run as
+    bn, pool, relu in reverse, gives the same gradients.  Only the sign of
+    a zero can differ, where a window's largest bn output is exactly +0
+    and an earlier position's is negative: the value is +0, not -0, and
+    the zero gradient of that window's relu goes to the +0 position.
+    relu's mask keeps 1/p of the elements.
+    """
+    return relu.forward(pool.forward(bn.forward(z)))
+
+
+def _train_order(layers: list[Layer]) -> list[Layer]:
+    """layers in the order a train forward runs them: the relu and pool of
+    every fused run swapped."""
+    order = list(layers)
+    for lo in _fused_starts(layers):
+        order[lo + 1:lo + 3] = layers[lo + 2], layers[lo + 1]
+    return order
+
+
 def _backprop(layers: list[Layer], d) -> np.ndarray:
     """Run the output gradient d back through layers; return the input
     gradient."""
@@ -343,10 +369,11 @@ class Network:
         length] layout: it is checked, then viewed as [batch, length,
         channels], the layout of every layer, without a copy.  Otherwise
         x is the input of layer `start`, such as the output of an earlier
-        call that stopped there.  Outside train mode, every BatchNorm1D ->
-        ReLU -> MaxPool1D run that lies whole inside the slice pools
-        first (`_pool_first`); a run that start or stop cuts runs layer
-        by layer.
+        call that stopped there.  Every BatchNorm1D -> ReLU -> MaxPool1D
+        run that lies whole inside the slice pools early: first outside
+        train (`_pool_first`), before relu in train (`_pool_then_relu`);
+        a run that start or stop cuts runs layer by layer.  `backward`
+        follows a train forward of the whole stack.
         """
         if start == 0:
             if x.ndim != 3 or x.shape[1] != self.n_channels \
@@ -358,26 +385,27 @@ class Network:
                 raise ValueError("non-finite values in network input")
             x = x.transpose(0, 2, 1)
         layers = self.layers
-        if mode == "train":
-            if self._frozen:
-                raise RuntimeError("train-mode forward inside frozen()")
-            return _run(layers[start:stop], x, mode, rng)
+        train = mode == "train"
+        if train and self._frozen:
+            raise RuntimeError("train-mode forward inside frozen()")
         start, stop, _ = slice(start, stop).indices(len(layers))
         fused = self._fused
         for lo in _fused_starts(layers) if fused is None else fused:
             if start <= lo and lo + 3 <= stop:
                 x = _run(layers[start:lo], x, mode, rng)
-                x = _pool_first(*layers[lo:lo + 3], x, mode)
+                x = _pool_then_relu(*layers[lo:lo + 3], x) if train \
+                    else _pool_first(*layers[lo:lo + 3], x, mode)
                 start = lo + 3
         return _run(layers[start:stop], x, mode, rng)
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Accumulate every parameter gradient; no input gradient is kept.
 
-        A first Conv1D (DropConnect included) computes only its weight and
-        bias gradients.
+        The layers are walked in the reverse of a train forward's order
+        (`_train_order`).  A first Conv1D (DropConnect included) computes
+        only its weight and bias gradients.
         """
-        d = _backprop(self.layers[1:], dlogits)
+        d = _backprop(_train_order(self.layers)[1:], dlogits)
         first = self.layers[0]
         if isinstance(first, Conv1D):
             first.backward(d, input_grad=False)

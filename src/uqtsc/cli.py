@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import multiprocessing
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -138,17 +139,39 @@ def _out_dir(args) -> Path:
 # generate
 
 
+def _write_synth_log(spec: data.SynthSpec, path: Path):
+    data.write_log_csv(data.synth_generate(spec), path)
+
+
 def cmd_generate(args):
+    """Write one CSV per log of the suite, then the manifest in suite order.
+
+    Each log is seeded by its own SynthSpec, so its bytes do not depend on
+    which process writes it.  The logs are written by one forked worker
+    process per usable core (`metrics._usable_cores`), at most one per
+    log; with one worker, or where the fork start method is missing, they
+    are written here.  A worker's exception reaches the caller as the same
+    class with the same message, and the first failing log in suite order
+    is the one raised, as in a serial loop; logs not yet handed to a
+    worker are then skipped.  Every worker is joined before this returns
+    or raises.  Workers run only the generator's elementwise numpy and
+    the CSV writer: no BLAS call and no thread, so forking a parent that
+    holds BLAS threads is safe.
+    """
     suite = data.default_synth_suite(
         n_logs=args.n_logs, seed=args.seed, duration_s=args.duration_s,
         class_balance=args.class_balance)
     out = _out_dir(args)
-    paths = []
-    for spec in suite:
-        log = data.synth_generate(spec)
-        p = out / f"{spec.log_id}.csv"
-        data.write_log_csv(log, p)
-        paths.append(p)
+    paths = [out / f"{spec.log_id}.csv" for spec in suite]
+    workers = min(metrics._usable_cores(), len(suite))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork")) \
+                as pool:
+            list(pool.map(_write_synth_log, suite, paths))
+    else:
+        for spec, p in zip(suite, paths):
+            _write_synth_log(spec, p)
     data.write_manifest(paths, out / "manifest.txt")
     _write_run_config(out, args)
     print(f"generate: {len(paths)} logs -> {out}")

@@ -140,8 +140,11 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
 
 
 def _usable_cores() -> int:
-    """CPUs this process may run on (Linux, where OpenBLAS is found)."""
-    return len(os.sched_getaffinity(0))
+    """CPUs this process may run on: its affinity set where the system
+    has one (Linux), else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _deal(work, n_items: int, lanes: int) -> None:

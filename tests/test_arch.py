@@ -244,7 +244,8 @@ def test_resnet_backward_runs():
 @pytest.mark.parametrize("family", ("cnn", "cnn_lstm", "fcn"))
 def test_backward_skipping_first_dx_keeps_param_grads(family, method):
     """Network.backward skips the first conv's dx; every parameter
-    gradient still equals that of a full layer-by-layer backward."""
+    gradient still equals that of a full layer-by-layer backward in the
+    train forward's order."""
     cfg = arch.ModelConfig(family=family, uq=method, cnn_blocks=2,
                            batch_size=16, dropout_rate=0.25)
     x = np.random.default_rng(5).normal(size=(4, 6, 32))
@@ -256,7 +257,7 @@ def test_backward_skipping_first_dx_keeps_param_grads(family, method):
         y = net.forward(x, mode="train", rng=rng)
         if full:
             d = np.ones_like(y)
-            for layer in reversed(net.layers):
+            for layer in reversed(arch._train_order(net.layers)):
                 d = layer.backward(d)
             assert d.shape == x.transpose(0, 2, 1).shape  # [B, L, C]
         else:
@@ -605,8 +606,10 @@ def test_plan_step_cut_by_start_or_stop_runs_unfused(start, stop):
 @pytest.mark.parametrize("mode", ("mc_infer", "infer", "train"))
 def test_plan_is_taken_outside_train_only(mode):
     """An MC-dropout CNN on 64 steps, pool 4: outside train, batch norm and
-    relu see 16 then 4 steps, pooled; a train pass shows them 64 then 16.
-    The pools see their unpooled input in every mode."""
+    relu see 16 then 4 steps, pooled.  Pooling first is taken outside
+    train only: a train pass shows batch norm 64 then 16 steps, and only
+    relu, which runs after the pool, sees 16 then 4.  The pools see their
+    unpooled input in every mode."""
     cfg = arch.ModelConfig(family="cnn", uq="mc_dropout", cnn_blocks=2,
                            f1=16, f2=16, k1=4, k2=4, max_pool=4)
     net = arch.build_network(cfg, 6, 64, seed=1)
@@ -615,9 +618,8 @@ def test_plan_is_taken_outside_train_only(mode):
     x = np.random.default_rng(46).normal(size=(4, 6, 64))
     net.forward(x, mode=mode, rng=np.random.default_rng(47))
     full = mode == "train"
-    assert seen == {2: [64 if full else 16], 3: [64 if full else 16],
-                    4: [64], 7: [16 if full else 4], 8: [16 if full else 4],
-                    9: [16]}
+    assert seen == {2: [64 if full else 16], 3: [16], 4: [64],
+                    7: [16 if full else 4], 8: [4], 9: [16]}
 
 
 def test_plan_zero_sign_differs_only_where_stated():
@@ -641,6 +643,52 @@ def test_plan_zero_sign_differs_only_where_stated():
     assert flipped[0].T.tolist() == [[True, False, False, False],
                                      [False, False, True, False]]
     assert not np.signbit(got).any() and np.signbit(want).sum() == 2
+
+
+def test_train_plan_zero_sign_differs_only_where_stated():
+    """Train mode, pool 2 over two windows of two samples and two
+    channels; channel 1 has a negative gamma and both channels a batch
+    mean of exactly 0.  In sample 0, window 0 of channel 0 and window 1
+    of channel 1 have batch-norm outputs (negative, +0): the unfused relu
+    gives the tied zeros -0, +0 and the pool keeps the first, -0; relu
+    after the pool gives +0.  Each of these windows' zero gradient goes
+    back through the +0 position instead of the first, a signed zero of
+    the batch-norm gradient that reaches dx only in channel 0, whose two
+    passing gradients cancel, so its dgamma and dbeta are exactly 0.
+    Values, dx, dgamma and dbeta compare equal; only those three signs
+    differ."""
+    bn, relu, pool = BatchNorm1D(2), ReLU(), MaxPool1D(2)
+    bn.gamma.value = np.array([1.0, -1.0])
+    net = arch.Network([bn, relu, pool], arch.ModelConfig(family="cnn"),
+                       2, 4)
+    # [batch 2, channels 2, length 4]: windows (0,1) (2,3)
+    x = np.array([[[-1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 2.0, 0.0]],
+                  [[0.0, -1.0, 1.0, 0.0], [0.0, -1.0, -2.0, 0.0]]])
+    # [batch, window, channel], the output layout
+    dy = np.array([[[-1.0, -3.0], [2.0, -1.0]],
+                   [[0.5, 1.5], [-2.0, 1.0]]])
+    want = unfused(net, x, "train")
+    want_dx = arch._backprop(net.layers, dy)
+    want_grads = [bn.gamma.grad.copy(), bn.beta.grad.copy()]
+    bn.gamma.zero_grad()
+    bn.beta.zero_grad()
+    seen = []
+    backward = bn.backward
+    bn.backward = lambda d: seen.append(backward(d)) or seen[-1]
+    got = net.forward(x, mode="train")
+    net.backward(dy)
+    got_dx, = seen
+    assert np.array_equal(got, want)
+    flipped = np.signbit(got) != np.signbit(want)
+    assert flipped.transpose(0, 2, 1).tolist() == [
+        [[True, False], [False, True]], [[False, False], [False, False]]]
+    assert not np.signbit(got).any() and np.signbit(want).sum() == 2
+    assert np.array_equal(got_dx, want_dx)
+    flipped = np.signbit(got_dx) != np.signbit(want_dx)
+    assert np.argwhere(flipped).tolist() == [[0, 1, 0]]
+    assert bn.gamma.grad[0] == bn.beta.grad[0] == 0.0
+    assert [bn.gamma.grad.tobytes(), bn.beta.grad.tobytes()] == \
+        [g.tobytes() for g in want_grads]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Command pipeline on a miniature synthetic corpus."""
 
 import hashlib
+import multiprocessing
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -88,6 +90,41 @@ def test_generate_bytes_pinned(tmp_path):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in out.iterdir() if p.name != cli.RUN_CONFIG_NAME}
     assert got == GENERATE_SHA256
+
+
+def test_generate_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch):
+    """One usable core writes the logs in-process, two fork two workers:
+    every file but run_config.txt has the same bytes, and no child process
+    is left."""
+    written = {}
+    for cores in (1, 2):
+        monkeypatch.setattr(metrics, "_usable_cores", lambda: cores)
+        out = tmp_path / str(cores)
+        assert run("generate", *GEN_ARGS, "--out", out) == 0
+        assert not multiprocessing.active_children()
+        written[cores] = {p.name: p.read_bytes() for p in out.iterdir()
+                          if p.name != cli.RUN_CONFIG_NAME}
+    assert len(written[1]) == 7 and written[1] == written[2]
+
+
+def test_generate_worker_error_reaches_main(tmp_path, monkeypatch, capsys):
+    """A worker's InvalidSpec for one log reaches main as its own message,
+    exit code 1, with no manifest written and no child process left."""
+    parent, synth = os.getpid(), data.synth_generate
+
+    def refuse_one(spec):
+        if spec.log_id == "synthlog003":
+            where = "parent" if os.getpid() == parent else "worker"
+            raise data.InvalidSpec(f"{spec.log_id} refused in the {where}")
+        return synth(spec)
+
+    monkeypatch.setattr(metrics, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(data, "synth_generate", refuse_one)
+    assert run("generate", *GEN_ARGS, "--out", tmp_path / "g") == 1
+    assert capsys.readouterr().err == \
+        "error: synthlog003 refused in the worker\n"
+    assert not multiprocessing.active_children()
+    assert not (tmp_path / "g" / "manifest.txt").exists()
 
 
 # SHA-256 of every file `prepare` writes, except run_config.txt, from the
