@@ -12,13 +12,13 @@ dense layer.
 A network is one layer list and a residual block is two (its main path
 and its shortcut); every list runs through the same forward and backward
 loop, and `Network.forward(start=, stop=)` runs any slice of the stack.
-Every BatchNorm1D -> ReLU -> MaxPool1D run pools early, with the same
-values: outside train mode it pools first, so batch norm and relu touch
-1/p of the data (see `_pool_first`); in train mode batch norm needs the
-full length for its statistics, so only relu moves after the pool (see
-`_pool_then_relu`).  Inside `Network.frozen()` its layers hold the
-constants they derive from the parameters, so repeated inference passes
-derive them once.
+A pooled conv stage is built as bn -> pool -> relu, with the values of
+the paper's bn -> relu -> pool (see `_conv_stage`), so relu touches 1/p of
+the data in every mode.  Outside train mode each BatchNorm1D -> MaxPool1D
+pair also pools first, so batch norm touches 1/p of the data too (see
+`_pool_first`); in train mode batch norm needs the full length for its
+statistics.  Inside `Network.frozen()` the layers hold the constants they
+derive from the parameters, so repeated inference passes derive them once.
 """
 
 from __future__ import annotations
@@ -181,11 +181,10 @@ def _run(layers: list[Layer], h, mode: str, rng) -> np.ndarray:
 
 
 def _fused_starts(layers: list[Layer]) -> tuple[int, ...]:
-    """Index of every BatchNorm1D -> ReLU -> MaxPool1D run in layers."""
-    return tuple(i for i in range(len(layers) - 2)
+    """Index of every BatchNorm1D -> MaxPool1D pair in layers."""
+    return tuple(i for i in range(len(layers) - 1)
                  if isinstance(layers[i], BatchNorm1D)
-                 and isinstance(layers[i + 1], ReLU)
-                 and isinstance(layers[i + 2], MaxPool1D))
+                 and isinstance(layers[i + 1], MaxPool1D))
 
 
 def _gamma_sign(bn: BatchNorm1D, dtype):
@@ -196,21 +195,18 @@ def _gamma_sign(bn: BatchNorm1D, dtype):
         else False
 
 
-def _pool_first(bn: BatchNorm1D, relu: ReLU, pool: MaxPool1D, z,
+def _pool_first(bn: BatchNorm1D, pool: MaxPool1D, z,
                 mode: str) -> np.ndarray:
-    """pool(relu(bn(z))) outside train, with bn and relu run on pooled z.
+    """pool(bn(z)) outside train, with bn run on pooled z.
 
     Outside train bn is a fixed per-channel map (subtract, times ivar,
     times gamma, plus beta) whose every step rounds monotonically, so it
-    is non-decreasing where gamma >= 0 and non-increasing where gamma < 0;
-    relu is non-decreasing.  So max-pooling z on the first channels and
-    min-pooling it on the others, as s * pool(s * z) with s the sign of
-    gamma (exact), then running bn and relu gives the same values.  Only
-    the sign of a zero can differ: where a window's largest bn output is
-    exactly +0 and an earlier position's is negative, this returns +0 and
-    the unfused order -0, the first of its tied relu zeros.  gamma moves
-    between the validation passes of a training run, so s is derived on
-    every call unless bn holds its constants.
+    is non-decreasing where gamma >= 0 and non-increasing where gamma < 0.
+    So max-pooling z on the first channels and min-pooling it on the
+    others, as s * pool(s * z) with s the sign of gamma (exact), then
+    running bn gives the same values; the relu that follows sees them
+    unchanged.  gamma moves between the validation passes of a training
+    run, so s is derived on every call unless bn holds its constants.
     """
     s = bn._constant(mode, ("sign", z.dtype),
                      lambda: _gamma_sign(bn, z.dtype))
@@ -219,31 +215,7 @@ def _pool_first(bn: BatchNorm1D, relu: ReLU, pool: MaxPool1D, z,
     else:
         h = pool.forward(z * s, mode=mode)
         h *= s
-    return relu.forward(bn.forward(h, mode=mode), mode=mode)
-
-
-def _pool_then_relu(bn: BatchNorm1D, relu: ReLU, pool: MaxPool1D,
-                    z) -> np.ndarray:
-    """pool(relu(bn(z))) in train mode, with relu run on pooled values.
-
-    relu is non-decreasing and the pool keeps the first maximum, so the
-    values are the same, and `Network.backward`, which walks the run as
-    bn, pool, relu in reverse, gives the same gradients.  Only the sign of
-    a zero can differ, where a window's largest bn output is exactly +0
-    and an earlier position's is negative: the value is +0, not -0, and
-    the zero gradient of that window's relu goes to the +0 position.
-    relu's mask keeps 1/p of the elements.
-    """
-    return relu.forward(pool.forward(bn.forward(z)))
-
-
-def _train_order(layers: list[Layer]) -> list[Layer]:
-    """layers in the order a train forward runs them: the relu and pool of
-    every fused run swapped."""
-    order = list(layers)
-    for lo in _fused_starts(layers):
-        order[lo + 1:lo + 3] = layers[lo + 2], layers[lo + 1]
-    return order
+    return bn.forward(h, mode=mode)
 
 
 def _backprop(layers: list[Layer], d) -> np.ndarray:
@@ -257,11 +229,12 @@ def _backprop(layers: list[Layer], d) -> np.ndarray:
 class ResidualBlock(Layer):
     """A main path and a shortcut, added; relu after the addition.
 
-    `main` is three conv stages (conv -> [dropout] -> bn -> relu, the last
-    without its relu).  `shortcut` is empty, the identity, when channel
-    counts already match, else a kernel-1 projection conv and its batch
-    norm.  Residual block `block` counts as conv block `block` for UQ
-    placement, and the block is stochastic when a sublayer is.
+    `main` is three conv stages (conv -> [dropout] -> bn -> relu); the
+    last stage's relu is taken out of it as `relu`, which runs on the sum.
+    `shortcut` is empty, the identity, when channel counts already match,
+    else a kernel-1 projection conv and its batch norm.  Residual block
+    `block` counts as conv block `block` for UQ placement, and the block
+    is stochastic when a sublayer is.
     """
 
     def __init__(self, n_in: int, config: ModelConfig, block: int,
@@ -273,7 +246,7 @@ class ResidualBlock(Layer):
             self.main += _conv_stage(config, block, ch, f, k, rng,
                                      prefix="r", suffix=str(j))
             ch = f
-        del self.main[-1]  # the last stage's relu follows the addition
+        self.relu = self.main.pop()  # runs after the addition
         self.out_channels = ch
         self.shortcut: list[Layer] = [] if n_in == ch else [
             Conv1D(n_in, ch, 1, rng, name=f"{name}_proj"),
@@ -281,7 +254,6 @@ class ResidualBlock(Layer):
         # the main path's convs and dropouts, which perfbench reads
         self.convs = [l for l in self.main if isinstance(l, Conv1D)]
         self.dropouts = [l for l in self.main if isinstance(l, uq.MCDropout)]
-        self._out_mask = None
         self.stochastic = any(layer.stochastic for layer in self.main)
 
     def params(self):
@@ -294,12 +266,10 @@ class ResidualBlock(Layer):
 
     def forward(self, x, mode="train", rng=None):
         y = _run(self.main, x, mode, rng) + _run(self.shortcut, x, mode, rng)
-        mask = y > 0
-        self._out_mask = mask if mode == "train" else None
-        return y * mask
+        return self.relu.forward(y, mode=mode)
 
     def backward(self, dy):
-        dz = dy * self._out_mask
+        dz = self.relu.backward(dy)
         return _backprop(self.main, dz) + _backprop(self.shortcut, dz)
 
 
@@ -369,11 +339,11 @@ class Network:
         length] layout: it is checked, then viewed as [batch, length,
         channels], the layout of every layer, without a copy.  Otherwise
         x is the input of layer `start`, such as the output of an earlier
-        call that stopped there.  Every BatchNorm1D -> ReLU -> MaxPool1D
-        run that lies whole inside the slice pools early: first outside
-        train (`_pool_first`), before relu in train (`_pool_then_relu`);
-        a run that start or stop cuts runs layer by layer.  `backward`
-        follows a train forward of the whole stack.
+        call that stopped there.  A train pass runs the layers in order.
+        Outside train, every BatchNorm1D -> MaxPool1D pair that lies whole
+        inside the slice pools first (`_pool_first`); a pair that start or
+        stop cuts runs layer by layer.  `backward` follows a train forward
+        of the whole stack.
         """
         if start == 0:
             if x.ndim != 3 or x.shape[1] != self.n_channels \
@@ -385,27 +355,32 @@ class Network:
                 raise ValueError("non-finite values in network input")
             x = x.transpose(0, 2, 1)
         layers = self.layers
-        train = mode == "train"
-        if train and self._frozen:
-            raise RuntimeError("train-mode forward inside frozen()")
         start, stop, _ = slice(start, stop).indices(len(layers))
-        fused = self._fused
-        for lo in _fused_starts(layers) if fused is None else fused:
-            if start <= lo and lo + 3 <= stop:
-                x = _run(layers[start:lo], x, mode, rng)
-                x = _pool_then_relu(*layers[lo:lo + 3], x) if train \
-                    else _pool_first(*layers[lo:lo + 3], x, mode)
-                start = lo + 3
-        return _run(layers[start:stop], x, mode, rng)
+        if mode == "train":
+            if self._frozen:
+                raise RuntimeError("train-mode forward inside frozen()")
+            return _run(layers[start:stop], x, mode, rng)
+        fused = _fused_starts(layers) if self._fused is None else self._fused
+        # one loop that rebinds x, so no activation outlives the layer
+        # that consumes it
+        i = start
+        while i < stop:
+            if i in fused and i + 2 <= stop:
+                x = _pool_first(layers[i], layers[i + 1], x, mode)
+                i += 2
+            else:
+                x = layers[i].forward(x, mode=mode, rng=rng)
+                i += 1
+        return x
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Accumulate every parameter gradient; no input gradient is kept.
 
-        The layers are walked in the reverse of a train forward's order
-        (`_train_order`).  A first Conv1D (DropConnect included) computes
-        only its weight and bias gradients.
+        The layers are walked in reverse, as a train forward left them.  A
+        first Conv1D (DropConnect included) computes only its weight and
+        bias gradients.
         """
-        d = _backprop(_train_order(self.layers)[1:], dlogits)
+        d = _backprop(self.layers[1:], dlogits)
         first = self.layers[0]
         if isinstance(first, Conv1D):
             first.backward(d, input_grad=False)
@@ -425,18 +400,28 @@ def _build_rng(seed: int) -> np.random.Generator:
 def _conv_stage(config: ModelConfig, block: int, n_in: int, filters: int,
                 kernel: int, rng: np.random.Generator, pool: int = 0,
                 prefix: str = "b", suffix: str = "") -> list[Layer]:
-    """Conv block `block`: conv(same) -> [dropout] -> bn -> relu [-> pool],
-    each layer named f"{prefix}{block}_{kind}{suffix}"."""
+    """Conv block `block`: conv(same) -> [dropout] -> bn [-> pool] -> relu,
+    each layer named f"{prefix}{block}_{kind}{suffix}".
+
+    The paper's stage is conv -> bn -> relu -> pool.  Pool and relu are
+    swapped: relu is non-decreasing and the pool keeps the first maximum,
+    so the values are the same, and relu touches 1/p of the data.  Only
+    the sign of a zero can differ: where a window's largest bn output is
+    exactly +0 and an earlier position's is negative, the classic order
+    gives -0, the first of its tied relu zeros, and this one +0; that
+    window's zero gradient goes back to the +0 position.  Pool and relu
+    have no parameters, so parameter order and names do not move.
+    """
     name = f"{prefix}{block}_{{}}{suffix}".format
     layers: list[Layer] = [_conv(config, n_in, filters, kernel, rng,
                                  name("conv"))]
     drop = _block_dropout(config, block, name("drop"))
     if drop is not None:
         layers.append(drop)
-    layers += [BatchNorm1D(filters, name=name("bn")), ReLU(name=name("relu"))]
+    layers.append(BatchNorm1D(filters, name=name("bn")))
     if pool:
         layers.append(MaxPool1D(pool, name=name("pool")))
-    return layers
+    return layers + [ReLU(name=name("relu"))]
 
 
 def _conv_blocks(config: ModelConfig, n_channels: int, window_length: int,

@@ -36,16 +36,25 @@ class MissingColumn(DataError):
 
 
 class RaggedRow(DataError):
+    # the constructor arguments are the args, so a pickle round trip
+    # rebuilds the same error; the message is made on demand
     def __init__(self, line: int):
-        super().__init__(f"row at line {line} has the wrong number of fields")
+        super().__init__(line)
         self.line = line
+
+    def __str__(self):
+        return f"row at line {self.line} has the wrong number of fields"
 
 
 class NonNumericValue(DataError):
     def __init__(self, line: int, column: str, detail: str = "not numeric"):
-        super().__init__(f"line {line}, column {column!r}: {detail}")
+        super().__init__(line, column, detail)
         self.line = line
         self.column = column
+
+    def __str__(self):
+        line, column, detail = self.args
+        return f"line {line}, column {column!r}: {detail}"
 
 
 class EmptyLog(DataError):

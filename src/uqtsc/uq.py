@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nncore.gradcheck import layer_grad_error
 from .nncore.layers import Conv1D, Dense, Layer, Param, ShapeMismatch
 
 _ACTIVE_MODES = ("train", "mc_infer")
@@ -236,18 +235,3 @@ def elbo_loss(ce_loss: float, kl: float, kl_weight: float) -> float:
     if kl_weight <= 0.0:
         raise ValueError("kl_weight must be positive")
     return ce_loss + kl_weight * kl
-
-
-def flipout_grad_check(eps: float = 1e-5, seed: int = 0) -> float:
-    """Finite-difference check of FlipoutDense under fixed noise.
-
-    Covers the input and all four posterior parameters (mu/rho for weight
-    and bias); returns the max relative error.  layer_grad_error draws
-    the same noise on every forward pass.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xF11b0)))
-    layer = FlipoutDense(Dense(3, 2, rng))
-    layer.rho_w.value = rng.normal(-2.5, 0.3, size=layer.rho_w.value.shape)
-    layer.rho_b.value = rng.normal(-2.5, 0.3, size=layer.rho_b.value.shape)
-    x = rng.normal(size=(2, 3))
-    return layer_grad_error(layer, x, rng, eps)

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uqtsc import arch, data
-from uqtsc.nncore import BatchNorm1D
+from uqtsc import arch, data, uq
+from uqtsc.nncore import BatchNorm1D, Dense
+from uqtsc.nncore.gradcheck import layer_grad_error
 
 
 def pytest_collection_modifyitems(items):
@@ -39,6 +40,21 @@ def leaf_layers(layers):
         else:
             out.append(layer)
     return out
+
+
+def flipout_grad_check(eps: float = 1e-5, seed: int = 0) -> float:
+    """Finite-difference check of FlipoutDense under fixed noise.
+
+    Covers the input and all four posterior parameters (mu/rho for weight
+    and bias); returns the max relative error.  layer_grad_error draws
+    the same noise on every forward pass.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xF11b0)))
+    layer = uq.FlipoutDense(Dense(3, 2, rng))
+    layer.rho_w.value = rng.normal(-2.5, 0.3, size=layer.rho_w.value.shape)
+    layer.rho_b.value = rng.normal(-2.5, 0.3, size=layer.rho_b.value.shape)
+    x = rng.normal(size=(2, 3))
+    return layer_grad_error(layer, x, rng, eps)
 
 
 def perturbed_net(family, method, dtype=np.float64, seed=2):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import load_file
+from conftest import flipout_grad_check, load_file
 from uqtsc import cli, data, hpo, metrics, uq
 from uqtsc.metrics import read_report_csv
 from uqtsc.nncore import GRAD_CHECKED_KINDS, grad_check
@@ -40,7 +40,7 @@ def test_c01_gradient_suite(capsys):
     for seed in range(20):
         for spec in GRAD_CHECKED_KINDS:
             worst = max(worst, grad_check(spec, seed=seed))
-        worst = max(worst, uq.flipout_grad_check(seed=seed))
+        worst = max(worst, flipout_grad_check(seed=seed))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-5 and elapsed < 60.0
     _verdict(capsys, 1, "gradient suite", ok,

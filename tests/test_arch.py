@@ -1,5 +1,6 @@
 """Builders, shape propagation, UQ placement, config serialization."""
 
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -244,8 +245,7 @@ def test_resnet_backward_runs():
 @pytest.mark.parametrize("family", ("cnn", "cnn_lstm", "fcn"))
 def test_backward_skipping_first_dx_keeps_param_grads(family, method):
     """Network.backward skips the first conv's dx; every parameter
-    gradient still equals that of a full layer-by-layer backward in the
-    train forward's order."""
+    gradient still equals that of a full layer-by-layer backward."""
     cfg = arch.ModelConfig(family=family, uq=method, cnn_blocks=2,
                            batch_size=16, dropout_rate=0.25)
     x = np.random.default_rng(5).normal(size=(4, 6, 32))
@@ -257,7 +257,7 @@ def test_backward_skipping_first_dx_keeps_param_grads(family, method):
         y = net.forward(x, mode="train", rng=rng)
         if full:
             d = np.ones_like(y)
-            for layer in reversed(arch._train_order(net.layers)):
+            for layer in reversed(net.layers):
                 d = layer.backward(d)
             assert d.shape == x.transpose(0, 2, 1).shape  # [B, L, C]
         else:
@@ -414,6 +414,20 @@ def test_all_family_method_pairs_construct(family, method):
     assert y.shape == (2, 2)
 
 
+@pytest.mark.parametrize("family", arch.FAMILIES)
+@pytest.mark.parametrize("method", arch.UQ_METHODS)
+def test_every_pool_sits_between_batch_norm_and_relu(family, method):
+    """Every conv stage that pools is built bn -> pool -> relu, the order a
+    train pass and backward run, so no bn -> relu -> pool run is left."""
+    cfg = arch.ModelConfig(family=family, uq=method, cnn_blocks=3)
+    layers = leaf_layers(arch.build_network(cfg, 6, 128).layers)
+    pools = [i for i, l in enumerate(layers) if isinstance(l, MaxPool1D)]
+    assert len(pools) == (3 if family in ("cnn", "cnn_lstm") else 0)
+    for i in pools:
+        assert isinstance(layers[i - 1], BatchNorm1D), (i, layers)
+        assert isinstance(layers[i + 1], ReLU), (i, layers)
+
+
 def _layertrace():
     """The benchmark's tracer, whose prefix timing reads _is_stochastic."""
     return load_file("perfbench/layertrace.py")
@@ -479,6 +493,32 @@ def test_inference_passes_hold_no_caches(family, method):
         assert held == [], (mode, held)
 
 
+@pytest.mark.parametrize("mode", ("infer", "mc_infer"))
+@pytest.mark.parametrize("family", ("cnn", "cnn_lstm"))
+def test_inference_pass_frees_each_activation_after_its_consumer(family,
+                                                                 mode):
+    """Outside train no layer keeps its output, so when a layer outside a
+    batch norm -> pool pair starts, its input is the one layer output
+    still alive: the pass keeps no spent activation, such as a pair's
+    batch-norm output once its relu has run, while later layers run."""
+    net = perturbed_net(family, "mc_dropout")
+    outputs, late = [], []
+    for layer in net.layers:
+        def spy(x, *args, _layer=layer, _forward=layer.forward, **kwargs):
+            if not isinstance(_layer, (BatchNorm1D, MaxPool1D)):
+                alive = {id(ref()) for ref in outputs if ref() is not None}
+                if len(alive) > 1:
+                    late.append((_layer.name, len(alive)))
+            y = _forward(x, *args, **kwargs)
+            outputs.append(weakref.ref(y))
+            return y
+        layer.forward = spy
+    x = np.random.default_rng(48).normal(size=(5, 6, 32))
+    net.forward(x, mode=mode, rng=np.random.default_rng(49))
+    assert len(outputs) == len(net.layers)
+    assert late == []
+
+
 def test_frozen_nests_drops_on_exit_and_refuses_train():
     """Residual blocks hold through their sublayers; an inner block's
     exit keeps the outer one's constants; the outer exit drops them all,
@@ -530,13 +570,20 @@ def test_strip_uq_recovers_deterministic_forward(family, method):
 
 
 # ---------------------------------------------------------------------------
-# inference plan: BatchNorm1D -> ReLU -> MaxPool1D pools first outside train
+# inference plan: BatchNorm1D -> MaxPool1D pools first outside train
 
 
 def unfused(net, x, mode, rng=None, start=0, stop=None):
     """layers[start:stop] one by one, as train mode runs them."""
     h = x.transpose(0, 2, 1) if start == 0 else x
     return arch._run(net.layers[start:stop], h, mode, rng)
+
+
+def classic(bn, relu, pool, x, mode):
+    """The paper's stage tail, bn -> relu -> pool, called in that order on
+    a [batch, channels, length] input."""
+    h = bn.forward(x.transpose(0, 2, 1), mode=mode)
+    return pool.forward(relu.forward(h, mode=mode), mode=mode)
 
 
 PLAN_CASES = [pytest.param(f, m, d, id=f"{f}-{m}-{np.dtype(d).name}")
@@ -563,7 +610,7 @@ def test_plan_logits_bytes_equal_unfused(family, method, dtype):
 
 
 def _spy_lengths(net):
-    """The time length of every input each BatchNorm1D, ReLU and MaxPool1D
+    """The time length of every input each BatchNorm1D, MaxPool1D and ReLU
     of net sees, by layer index, from a spy set on the layer instance, so
     the plan's calls are counted as well as the layer loop's."""
     seen = {}
@@ -577,13 +624,15 @@ def _spy_lengths(net):
     return seen
 
 
-@pytest.mark.parametrize("start, stop", ((3, None), (0, 3), (0, 8), (4, 10)))
+@pytest.mark.parametrize("start, stop", ((3, None), (0, 3), (0, 8), (4, 10),
+                                         (8, None)))
 def test_plan_step_cut_by_start_or_stop_runs_unfused(start, stop):
-    """Layers 2-4 and 7-9 of an MC-dropout CNN are its fused runs.  A
-    slice that cuts one runs it layer by layer, so its batch norm and
-    relu see the unpooled 32 or 16 steps; a run whole inside the slice
-    still pools first, to 16 or 8.  Either way the bytes are the
-    layer-by-layer ones."""
+    """Layers 2-3 and 7-8 of an MC-dropout CNN are its batch norm -> pool
+    pairs, each followed by its relu.  A slice that cuts a pair runs it
+    layer by layer, so its batch norm sees the unpooled 32 or 16 steps; a
+    pair whole inside the slice still pools first, to 16 or 8.  Pools see
+    their unpooled input and relus the pooled one either way, and the
+    bytes are the layer-by-layer ones."""
     net = perturbed_net("cnn", "mc_dropout")
     x = np.random.default_rng(43).normal(size=(5, 6, 32))
     if start:
@@ -596,20 +645,20 @@ def test_plan_step_cut_by_start_or_stop_runs_unfused(start, stop):
     assert got.tobytes() == want.tobytes()
     stop = len(net.layers) if stop is None else stop
     for lo, steps in ((2, 32), (7, 16)):
-        whole = start <= lo and lo + 3 <= stop
-        for i in (lo, lo + 1):
-            expect = [steps // 2 if whole else steps] if start <= i < stop \
-                else []
+        whole = start <= lo and lo + 2 <= stop
+        for i, length in ((lo, steps // 2 if whole else steps),
+                          (lo + 1, steps), (lo + 2, steps // 2)):
+            expect = [length] if start <= i < stop else []
             assert seen[i] == expect, (i, seen)
 
 
 @pytest.mark.parametrize("mode", ("mc_infer", "infer", "train"))
 def test_plan_is_taken_outside_train_only(mode):
-    """An MC-dropout CNN on 64 steps, pool 4: outside train, batch norm and
-    relu see 16 then 4 steps, pooled.  Pooling first is taken outside
-    train only: a train pass shows batch norm 64 then 16 steps, and only
-    relu, which runs after the pool, sees 16 then 4.  The pools see their
-    unpooled input in every mode."""
+    """An MC-dropout CNN on 64 steps, pool 4: outside train, batch norm
+    sees 16 then 4 steps, pooled.  Pooling first is taken outside train
+    only: a train pass shows batch norm 64 then 16 steps.  In every mode
+    the pools see their unpooled input and the relus, which follow them,
+    16 then 4 steps."""
     cfg = arch.ModelConfig(family="cnn", uq="mc_dropout", cnn_blocks=2,
                            f1=16, f2=16, k1=4, k2=4, max_pool=4)
     net = arch.build_network(cfg, 6, 64, seed=1)
@@ -618,26 +667,27 @@ def test_plan_is_taken_outside_train_only(mode):
     x = np.random.default_rng(46).normal(size=(4, 6, 64))
     net.forward(x, mode=mode, rng=np.random.default_rng(47))
     full = mode == "train"
-    assert seen == {2: [64 if full else 16], 3: [16], 4: [64],
-                    7: [16 if full else 4], 8: [4], 9: [16]}
+    assert seen == {2: [64 if full else 16], 3: [64], 4: [16],
+                    7: [16 if full else 4], 8: [16], 9: [4]}
 
 
 def test_plan_zero_sign_differs_only_where_stated():
     """Pool 2 over four windows of two channels; channel 1 has a negative
     gamma.  Where a window's largest batch-norm output is exactly +0 and
-    its first position's is negative, the unfused relu gives the tied
-    zeros -0, +0 and the pool keeps the first, -0; pooling first gives
-    +0.  The values compare equal, and only window 0 of channel 0 and
-    window 2 of channel 1 differ, in the sign bit."""
+    its first position's is negative, the paper's order (relu, then pool)
+    gives the tied zeros -0, +0 and the pool keeps the first, -0; the
+    built order, pooling first, gives +0.  The values compare equal, and
+    only window 0 of channel 0 and window 2 of channel 1 differ, in the
+    sign bit."""
     bn, relu, pool = BatchNorm1D(2), ReLU(), MaxPool1D(2)
     bn.gamma.value = np.array([1.0, -1.0])
-    net = arch.Network([bn, relu, pool], arch.ModelConfig(family="cnn"),
+    net = arch.Network([bn, pool, relu], arch.ModelConfig(family="cnn"),
                        2, 8)
     # [batch 1, channels 2, length 8]: windows (0,1) (2,3) (4,5) (6,7)
     x = np.array([[[-1.0, 0.0, 0.0, -1.0, 2.0, 0.0, 0.0, 0.0],
                    [0.0, 1.0, 0.0, 3.0, 1.0, 0.0, 0.0, 0.0]]])
     got = net.forward(x, mode="infer")
-    want = unfused(net, x, "infer")
+    want = classic(bn, relu, pool, x, "infer")
     assert np.array_equal(got, want)
     flipped = np.signbit(got) != np.signbit(want)
     assert flipped[0].T.tolist() == [[True, False, False, False],
@@ -649,9 +699,9 @@ def test_train_plan_zero_sign_differs_only_where_stated():
     """Train mode, pool 2 over two windows of two samples and two
     channels; channel 1 has a negative gamma and both channels a batch
     mean of exactly 0.  In sample 0, window 0 of channel 0 and window 1
-    of channel 1 have batch-norm outputs (negative, +0): the unfused relu
-    gives the tied zeros -0, +0 and the pool keeps the first, -0; relu
-    after the pool gives +0.  Each of these windows' zero gradient goes
+    of channel 1 have batch-norm outputs (negative, +0): the paper's order
+    (relu, then pool) gives the tied zeros -0, +0 and the pool keeps the
+    first, -0; the built order, relu after the pool, gives +0.  Each of these windows' zero gradient goes
     back through the +0 position instead of the first, a signed zero of
     the batch-norm gradient that reaches dx only in channel 0, whose two
     passing gradients cancel, so its dgamma and dbeta are exactly 0.
@@ -659,7 +709,7 @@ def test_train_plan_zero_sign_differs_only_where_stated():
     differ."""
     bn, relu, pool = BatchNorm1D(2), ReLU(), MaxPool1D(2)
     bn.gamma.value = np.array([1.0, -1.0])
-    net = arch.Network([bn, relu, pool], arch.ModelConfig(family="cnn"),
+    net = arch.Network([bn, pool, relu], arch.ModelConfig(family="cnn"),
                        2, 4)
     # [batch 2, channels 2, length 4]: windows (0,1) (2,3)
     x = np.array([[[-1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 2.0, 0.0]],
@@ -667,8 +717,8 @@ def test_train_plan_zero_sign_differs_only_where_stated():
     # [batch, window, channel], the output layout
     dy = np.array([[[-1.0, -3.0], [2.0, -1.0]],
                    [[0.5, 1.5], [-2.0, 1.0]]])
-    want = unfused(net, x, "train")
-    want_dx = arch._backprop(net.layers, dy)
+    want = classic(bn, relu, pool, x, "train")
+    want_dx = bn.backward(relu.backward(pool.backward(dy)))
     want_grads = [bn.gamma.grad.copy(), bn.beta.grad.copy()]
     bn.gamma.zero_grad()
     bn.beta.zero_grad()

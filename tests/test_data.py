@@ -1,6 +1,7 @@
 """Data pipeline tests: ingestion, trimming, windowing, splits, synthesis."""
 
 import csv
+import pickle
 
 import numpy as np
 import pytest
@@ -93,6 +94,40 @@ def test_load_log_non_numeric(tmp_path):
         data.load_log(path)
     assert exc.value.line == 2
     assert exc.value.column == "acc_y"
+
+
+_HEADER = "t," + ",".join(data.IMU_CHANNELS) + ",label\n"
+
+
+@pytest.mark.parametrize("text, kind, message", [
+    pytest.param("", data.EmptyLog, "is empty", id="empty"),
+    pytest.param(_HEADER, data.EmptyLog, "has a header but no data rows",
+                 id="header_only"),
+    pytest.param("t,acc_x\n0,1\n", data.MissingColumn, "missing column(s)",
+                 id="missing_column"),
+    pytest.param(_HEADER + "0.1,1,1,1,1,1,1,0\n0.0,1,1,1,1,1,1,0\n",
+                 data.DataError, "time column must be strictly increasing",
+                 id="time_order"),
+    pytest.param(_HEADER + "0.0,1,1,1,1,1,1,2\n", data.NonNumericValue,
+                 "line 2, column 'label': label must be 0 or 1", id="label"),
+    pytest.param(_HEADER + "0.0,1,1,1,1,1,1,0\n0.1,1,1\n", data.RaggedRow,
+                 "row at line 3 has the wrong number of fields", id="ragged"),
+    pytest.param(_HEADER + "0.0,1,1,1,x,1,1,0\n", data.NonNumericValue,
+                 "line 2, column 'gyr_x': not numeric", id="non_numeric"),
+])
+def test_load_log_errors_survive_pickling(tmp_path, text, kind, message):
+    """Every error load_log raises comes back from a pickle round trip, as
+    a worker process would send it, with its class, message and fields."""
+    path = tmp_path / "log.csv"
+    path.write_text(text)
+    with pytest.raises(kind) as exc:
+        data.load_log(path)
+    assert message in str(exc.value)
+    back = pickle.loads(pickle.dumps(exc.value))
+    assert type(back) is type(exc.value)
+    assert str(back) == str(exc.value)
+    for field in ("line", "column"):
+        assert getattr(back, field, None) == getattr(exc.value, field, None)
 
 
 def _reference_parse(path):

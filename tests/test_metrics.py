@@ -466,7 +466,7 @@ def test_posterior_dropconnect_conv_redraws_weight_every_pass(monkeypatch):
 
 @pytest.mark.parametrize("dtype", (np.float64, np.float32))
 def test_posterior_plans_once_per_call(dtype, monkeypatch):
-    """One window, M = 10: the fused runs are found once per call, and
+    """One window, M = 10: the fused pairs are found once per call, and
     each fused batch norm's gamma sign (5 of 16 negative) is derived once;
     the samples are the layer-by-layer ones."""
     net = perturbed_net("cnn", "mc_dropout", dtype)

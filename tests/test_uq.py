@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import flipout_grad_check
 from uqtsc import uq
 from uqtsc.nncore import Conv1D, Dense
 from uqtsc.nncore.gradcheck import layer_grad_error
@@ -358,12 +359,12 @@ def test_flipout_signs_are_the_draws_of_choice(bitgen):
 
 
 def test_flipout_grad_check_frozen_rng():
-    assert uq.flipout_grad_check(seed=0) < 1e-5
+    assert flipout_grad_check(seed=0) < 1e-5
 
 
 def test_flipout_grad_check_many_seeds():
     for seed in range(5):
-        assert uq.flipout_grad_check(seed=seed) < 1e-5
+        assert flipout_grad_check(seed=seed) < 1e-5
 
 
 # kind -> (layer from rng, input shape); inputs are channels-last
