@@ -23,6 +23,7 @@ derive from the parameters, so repeated inference passes derive them once.
 
 from __future__ import annotations
 
+import copy
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -32,6 +33,7 @@ import numpy as np
 
 from . import uq
 from .nncore import checkpoint as ckpt
+from .nncore import lanes
 from .nncore.layers import (
     BatchNorm1D,
     Conv1D,
@@ -180,6 +182,22 @@ def _run(layers: list[Layer], h, mode: str, rng) -> np.ndarray:
     return h
 
 
+def _forward_steps(layers: list[Layer], h, rng):
+    """A train-mode _run as a generator of the layers' requests (see
+    `Layer.forward_steps`)."""
+    for layer in layers:
+        h = yield from layer.forward_steps(h, rng)
+    return h
+
+
+def _backward_steps(layers: list[Layer], d):
+    """Run the output gradient d back through layers, yielding their
+    requests; return the input gradient."""
+    for layer in reversed(layers):
+        d = yield from layer.backward_steps(d)
+    return d
+
+
 def _fused_starts(layers: list[Layer]) -> tuple[int, ...]:
     """Index of every BatchNorm1D -> MaxPool1D pair in layers."""
     return tuple(i for i in range(len(layers) - 1)
@@ -216,14 +234,6 @@ def _pool_first(bn: BatchNorm1D, pool: MaxPool1D, z,
         h = pool.forward(z * s, mode=mode)
         h *= s
     return bn.forward(h, mode=mode)
-
-
-def _backprop(layers: list[Layer], d) -> np.ndarray:
-    """Run the output gradient d back through layers; return the input
-    gradient."""
-    for layer in reversed(layers):
-        d = layer.backward(d)
-    return d
 
 
 class ResidualBlock(Layer):
@@ -265,12 +275,23 @@ class ResidualBlock(Layer):
             layer.hold(on)
 
     def forward(self, x, mode="train", rng=None):
+        if mode == "train":
+            return lanes.run_steps([self.forward_steps(x, rng)], rng)[0]
         y = _run(self.main, x, mode, rng) + _run(self.shortcut, x, mode, rng)
         return self.relu.forward(y, mode=mode)
 
+    def forward_steps(self, x, rng=None):
+        y = (yield from _forward_steps(self.main, x, rng)) \
+            + (yield from _forward_steps(self.shortcut, x, rng))
+        return self.relu.forward(y, mode="train")
+
     def backward(self, dy):
+        return lanes.run_steps([self.backward_steps(dy)])[0]
+
+    def backward_steps(self, dy):
         dz = self.relu.backward(dy)
-        return _backprop(self.main, dz) + _backprop(self.shortcut, dz)
+        return (yield from _backward_steps(self.main, dz)) \
+            + (yield from _backward_steps(self.shortcut, dz))
 
 
 class Network:
@@ -330,6 +351,18 @@ class Network:
         return next((i for i, layer in enumerate(self.layers)
                      if layer.stochastic), len(self.layers))
 
+    def _layout(self, x: np.ndarray) -> np.ndarray:
+        """A network input, checked and viewed as [batch, length,
+        channels] without a copy."""
+        if x.ndim != 3 or x.shape[1] != self.n_channels \
+                or x.shape[2] != self.window_length:
+            raise ShapeMismatch(
+                f"expected [batch, {self.n_channels}, "
+                f"{self.window_length}], got {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("non-finite values in network input")
+        return x.transpose(0, 2, 1)
+
     def forward(self, x: np.ndarray, mode: str = "train",
                 rng: np.random.Generator | None = None, start: int = 0,
                 stop: int | None = None) -> np.ndarray:
@@ -339,27 +372,21 @@ class Network:
         length] layout: it is checked, then viewed as [batch, length,
         channels], the layout of every layer, without a copy.  Otherwise
         x is the input of layer `start`, such as the output of an earlier
-        call that stopped there.  A train pass runs the layers in order.
-        Outside train, every BatchNorm1D -> MaxPool1D pair that lies whole
-        inside the slice pools first (`_pool_first`); a pair that start or
-        stop cuts runs layer by layer.  `backward` follows a train forward
-        of the whole stack.
+        call that stopped there.  A train pass runs the layers in order,
+        as one chunk (`forward_steps`).  Outside train, every BatchNorm1D
+        -> MaxPool1D pair that lies whole inside the slice pools first
+        (`_pool_first`); a pair that start or stop cuts runs layer by
+        layer.  `backward` follows a train forward of the whole stack.
         """
         if start == 0:
-            if x.ndim != 3 or x.shape[1] != self.n_channels \
-                    or x.shape[2] != self.window_length:
-                raise ShapeMismatch(
-                    f"expected [batch, {self.n_channels}, "
-                    f"{self.window_length}], got {x.shape}")
-            if not np.all(np.isfinite(x)):
-                raise ValueError("non-finite values in network input")
-            x = x.transpose(0, 2, 1)
+            x = self._layout(x)
         layers = self.layers
         start, stop, _ = slice(start, stop).indices(len(layers))
         if mode == "train":
             if self._frozen:
                 raise RuntimeError("train-mode forward inside frozen()")
-            return _run(layers[start:stop], x, mode, rng)
+            return lanes.run_steps(
+                [_forward_steps(layers[start:stop], x, rng)], rng)[0]
         fused = _fused_starts(layers) if self._fused is None else self._fused
         # one loop that rebinds x, so no activation outlives the layer
         # that consumes it
@@ -373,6 +400,12 @@ class Network:
                 i += 1
         return x
 
+    def forward_steps(self, x: np.ndarray,
+                      rng: np.random.Generator | None = None):
+        """A train forward of a network input x as a generator of the
+        layers' requests (`lanes.run_steps`), for one chunk of a batch."""
+        return (yield from _forward_steps(self.layers, self._layout(x), rng))
+
     def backward(self, dlogits: np.ndarray) -> None:
         """Accumulate every parameter gradient; no input gradient is kept.
 
@@ -380,12 +413,39 @@ class Network:
         first Conv1D (DropConnect included) computes only its weight and
         bias gradients.
         """
-        d = _backprop(self.layers[1:], dlogits)
+        lanes.run_steps([self.backward_steps(dlogits)])
+
+    def backward_steps(self, dlogits: np.ndarray):
+        """backward as a generator, as forward_steps is a train forward."""
+        d = yield from _backward_steps(self.layers[1:], dlogits)
         first = self.layers[0]
         if isinstance(first, Conv1D):
             first.backward(d, input_grad=False)
         else:
-            first.backward(d)
+            yield from first.backward_steps(d)
+
+    def replica(self) -> "Network":
+        """A network of copies of these layers, for one chunk of a
+        data-parallel train step.  Its trainable parameters share their
+        values with this network's and start from zero gradients of
+        their own; the running stats are this network's own Params.  Its
+        layers keep their own train caches.  Training changes the
+        parameters, so this raises inside `frozen()`, as a train forward
+        does.
+        """
+        if self._frozen:
+            raise RuntimeError("train-mode replica inside frozen()")
+        memo = {}
+        for p in self.params():
+            memo[id(p.value)] = p.value
+            if not p.trainable:
+                memo[id(p)] = p
+        net = Network(copy.deepcopy(self.layers, memo), self.config,
+                      self.n_channels, self.window_length)
+        for p in net.params():
+            if p.trainable:
+                p.zero_grad()
+        return net
 
     def astype(self, dtype):
         for layer in self.layers:

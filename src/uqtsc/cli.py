@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import arch, data, hpo, metrics, svgplot, training
+from .nncore import lanes
 from .nncore.checkpoint import CheckpointError
 
 RUN_CONFIG_NAME = "run_config.txt"
@@ -148,7 +149,7 @@ def cmd_generate(args):
 
     Each log is seeded by its own SynthSpec, so its bytes do not depend on
     which process writes it.  The logs are written by one forked worker
-    process per usable core (`metrics._usable_cores`), at most one per
+    process per usable core (`lanes.usable_cores`), at most one per
     log; with one worker, or where the fork start method is missing, they
     are written here.  A worker's exception reaches the caller as the same
     class with the same message, and the first failing log in suite order
@@ -163,7 +164,7 @@ def cmd_generate(args):
         class_balance=args.class_balance)
     out = _out_dir(args)
     paths = [out / f"{spec.log_id}.csv" for spec in suite]
-    workers = min(metrics._usable_cores(), len(suite))
+    workers = min(lanes.usable_cores(), len(suite))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         with ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("fork")) \
@@ -263,7 +264,7 @@ def cmd_train(args):
     arch.save_network(net, out / "checkpoint.txt")
     _write_run_config(out, args)
     last = hist[-1]
-    print(f"train: {args.epochs} epochs, final val_loss {last.val_loss:.4f} "
+    print(f"train: {len(hist)} epochs, final val_loss {last.val_loss:.4f} "
           f"val_wF1 {last.val_wf1:.4f} -> {out}")
 
 
@@ -295,13 +296,16 @@ class _TrainObjective:
         hist = training.train_network(
             net, self.xt, self.yt, self.xv, self.yv, epochs=budget,
             seed=seed, dtype=self.dtype)
-        val_loss = float(hist[-1].val_loss)
+        last = hist[-1]
+        # a training run that stopped at a non-finite loss fails its trial
+        val_loss = float(last.val_loss) if math.isfinite(last.train_loss) \
+            else math.inf
         if budget == self.max_budget and math.isfinite(val_loss):
             with self._lock:
                 key = (val_loss, seed)
                 if self.best_key is None or key < self.best_key:
                     self.best_key, self.best_net = key, net
-        return val_loss, float(hist[-1].val_wf1)
+        return val_loss, float(last.val_wf1)
 
 
 def cmd_search(args):

@@ -18,16 +18,13 @@ and mean entropy at or below 0.1, boundaries inclusive.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .arch import Network
-from .nncore import blas
+from .nncore import blas, lanes
 from .nncore.layers import LSTM, softmax
 
 F1_THRESHOLD = 0.9
@@ -100,9 +97,10 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
 
     The whole call holds OpenBLAS to one thread (`blas.one_thread`), and
     the chunks are dealt round-robin to one lane per usable core, at
-    most one per chunk: lane 0 runs in the calling thread, the others on
-    a pool joined before the call returns, and an exception in any lane
-    is raised here.  Where no OpenBLAS is found, one lane runs them all.
+    most one per chunk (`lanes.deal`): lane 0 runs in the calling thread,
+    the others on the shared pool, all finished before the call returns,
+    and an exception in any lane is raised here.  Where no OpenBLAS is
+    found, one lane runs them all.
     The samples are the same bytes for any lane count.  The lanes run
     inside `net.frozen()`, so each layer derives its inference constants
     (a plain conv's weight matrix, a batch norm's tiled rows and gamma
@@ -134,45 +132,8 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
             samples[j, rows] = softmax(logits.astype(np.float64, copy=False))
 
     with blas.one_thread() as pinned, net.frozen():
-        lanes = min(_usable_cores(), len(starts)) if pinned else 1
-        _deal(run_chunk, len(starts), lanes)
+        lanes.deal(run_chunk, len(starts), pinned)
     return PredictiveDistribution.from_samples(samples)
-
-
-def _usable_cores() -> int:
-    """CPUs this process may run on: its affinity set where the system
-    has one (Linux), else the machine's CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _deal(work, n_items: int, lanes: int) -> None:
-    """Run work(i) for every i < n_items, dealt round-robin to `lanes`
-    lanes: lane 0 in this thread, the others on a pool joined before this
-    returns.  A lane's exception is raised here, and the other lanes stop
-    before their next item."""
-    if lanes <= 1:
-        for i in range(n_items):
-            work(i)
-        return
-    failed = threading.Event()
-
-    def lane(k):
-        try:
-            for i in range(k, n_items, lanes):
-                if failed.is_set():
-                    return
-                work(i)
-        except BaseException:
-            failed.set()
-            raise
-
-    with ThreadPoolExecutor(lanes - 1) as pool:
-        helpers = [pool.submit(lane, k) for k in range(1, lanes)]
-        lane(0)
-        for future in helpers:
-            future.result()
 
 
 def predictive_entropy(probs: np.ndarray) -> float | np.ndarray:

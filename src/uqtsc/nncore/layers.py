@@ -22,12 +22,21 @@ An infer or mc_infer pass reads its layers and writes nothing to them that
 another pass needs, so several threads may run such passes on one
 network at once.  Held constants are filled lazily by whichever pass
 needs one first; every one is a pure function of the parameters, so two
-threads that both make it store the same value.
+threads that both make it store the same value.  A train pass writes its
+caches and gradients into its layers, so a layer runs one train pass at
+a time.  A data-parallel train step runs each chunk of a batch on its
+own copy of the layers, which share the parameter values
+(`arch.Network.replica`), one chunk per lane at a time; `forward_steps`
+and `backward_steps` run a train pass as a generator that yields where
+the pass needs a value over the whole batch, batch norm's statistics and
+parameter gradients, and `lanes.run_steps` answers every chunk at once.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from . import lanes
 
 
 class ShapeMismatch(Exception):
@@ -98,6 +107,20 @@ class Layer:
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def forward_steps(self, x: np.ndarray,
+                      rng: np.random.Generator | None = None):
+        """A train-mode forward as a generator (see `lanes.run_steps`)
+        that yields a request wherever the pass needs a value taken over
+        every chunk of the batch, and returns the output.  A layer whose
+        train pass needs nothing from other chunks yields none."""
+        return self.forward(x, mode="train", rng=rng)
+        yield  # unreachable: makes this a generator
+
+    def backward_steps(self, dy: np.ndarray):
+        """backward as a generator, as forward_steps is forward."""
+        return self.backward(dy)
+        yield  # unreachable: makes this a generator
 
     def astype(self, dtype):
         for p in self.params():
@@ -277,6 +300,13 @@ class BatchNorm1D(Layer):
     Per-channel vectors are tiled to a row of L*C values before they
     broadcast, which keeps the elementwise loops long; while held, the
     four rows of an inference pass are held per length.
+
+    A train pass may see one chunk of its batch (`forward_steps`, run by
+    `lanes.run_steps`): each chunk's partial sums are added in chunk
+    order into the batch mean, then into the variance of the values
+    centred on that mean, and backward's dgamma and dbeta likewise; the
+    running stats move once per batch.  A plain train forward is the
+    batch as one chunk.
     """
 
     MOMENTUM = 0.9
@@ -295,39 +325,62 @@ class BatchNorm1D(Layer):
         return [self.gamma, self.beta, self.running_mean, self.running_var]
 
     def forward(self, x, mode="train", rng=None):
+        if mode == "train":
+            return lanes.run_steps([self.forward_steps(x)])[0]
+        c = self.n_ch
+        if x.shape[-1] != c:
+            raise ShapeMismatch(f"{self.name}: expected {c} channels")
+        self._cache = None
+        rows = x.reshape(len(x), -1)  # [B, L*C]
+        reps = rows.shape[1] // c
+        mean_row, ivar_row, gamma_row, beta_row = self._constant(
+            mode, reps, lambda: self._inference_rows(reps))
+        # the train path's operations in one buffer, as xhat is not kept
+        y = rows - mean_row
+        y *= ivar_row
+        y *= gamma_row
+        y += beta_row
+        return y.reshape(x.shape)
+
+    def forward_steps(self, x, rng=None):
         c = self.n_ch
         if x.shape[-1] != c:
             raise ShapeMismatch(f"{self.name}: expected {c} channels")
         rows = x.reshape(len(x), -1)  # [B, L*C]
         reps = rows.shape[1] // c
-        if mode != "train":
-            self._cache = None
-            mean_row, ivar_row, gamma_row, beta_row = self._constant(
-                mode, reps, lambda: self._inference_rows(reps))
-            # the train path's operations in one buffer, as xhat is not kept
-            y = rows - mean_row
-            y *= ivar_row
-            y *= gamma_row
-            y += beta_row
-            return y.reshape(x.shape)
-        if len(x) < 2:
-            raise BatchTooSmall(f"{self.name}: train mode needs batch >= 2")
-        n = rows.size // c
-        mean = np.einsum("nc->c", rows.reshape(-1, c)) / n
+        flat = rows.reshape(-1, c)
+        mean, n = yield self._batch_mean, (
+            np.einsum("nc->c", flat), len(x), len(flat))
         xhat = rows - np.tile(mean, reps)
         flat = xhat.reshape(-1, c)
-        var = np.einsum("nc,nc->c", flat, flat) / n
-        m = self.MOMENTUM
-        for stat, batch in ((self.running_mean, mean),
-                            (self.running_var, var)):
-            stat.value = (m * stat.value + (1 - m) * batch).astype(
-                stat.value.dtype, copy=False)
-        ivar = 1.0 / np.sqrt(var + self.EPS)
+        ivar = yield self._batch_ivar, (np.einsum("nc,nc->c", flat, flat), n)
         xhat *= np.tile(ivar, reps)
-        self._cache = (xhat, ivar)
+        self._cache = (xhat, ivar, n)
         y = xhat * np.tile(self.gamma.value, reps)
         y += np.tile(self.beta.value, reps)
         return y.reshape(x.shape)
+
+    def _batch_mean(self, parts, rng):
+        """(batch mean, values per channel) from each chunk's (sum,
+        windows, values per channel); moves the running mean."""
+        if sum(windows for _, windows, _ in parts) < 2:
+            raise BatchTooSmall(f"{self.name}: train mode needs batch >= 2")
+        n = sum(count for _, _, count in parts)
+        mean = lanes.ordered_sum([total for total, _, _ in parts]) / n
+        self._move(self.running_mean, mean)
+        return mean, n
+
+    def _batch_ivar(self, parts, rng):
+        """1/sqrt(batch var + eps) from each chunk's (sum of squares about
+        the batch mean, values per channel); moves the running var."""
+        var = lanes.ordered_sum([sq for sq, _ in parts]) / parts[0][1]
+        self._move(self.running_var, var)
+        return 1.0 / np.sqrt(var + self.EPS)
+
+    def _move(self, stat: Param, batch: np.ndarray):
+        m = self.MOMENTUM
+        stat.value = (m * stat.value + (1 - m) * batch).astype(
+            stat.value.dtype, copy=False)
 
     def _inference_rows(self, reps: int) -> tuple[np.ndarray, ...]:
         """The running mean, 1/sqrt(running var + eps), gamma and beta,
@@ -337,21 +390,33 @@ class BatchNorm1D(Layer):
             self.running_mean.value, ivar, self.gamma.value, self.beta.value))
 
     def backward(self, dy):
-        xhat, ivar = self._cache
+        return lanes.run_steps([self.backward_steps(dy)])[0]
+
+    def backward_steps(self, dy):
+        xhat, ivar, n = self._cache
         c = self.n_ch
         rows = dy.reshape(len(dy), -1)
         reps = rows.shape[1] // c
-        n = rows.size // c
-        dgamma = np.einsum("nc,nc->c", rows.reshape(-1, c), xhat.reshape(-1, c))
-        dbeta = np.einsum("nc->c", rows.reshape(-1, c))
-        self.gamma.grad += dgamma
-        self.beta.grad += dbeta
-        # gamma * ivar / n * (n * dy - dbeta - xhat * dgamma)
+        flat = rows.reshape(-1, c)
+        dgamma, dbeta = yield self._param_grads, (
+            np.einsum("nc,nc->c", flat, xhat.reshape(-1, c)),
+            np.einsum("nc->c", flat))
+        # gamma * ivar / n * (n * dy - dbeta - xhat * dgamma), n over the
+        # whole batch
         dx = xhat * np.tile(dgamma, reps)
         np.subtract(rows * n, dx, out=dx)
         dx -= np.tile(dbeta, reps)
         dx *= np.tile(self.gamma.value * ivar / n, reps)
         return dx.reshape(dy.shape)
+
+    def _param_grads(self, parts, rng):
+        """The batch's (dgamma, dbeta) from each chunk's, accumulated into
+        the gradients once."""
+        dgamma = lanes.ordered_sum([g for g, _ in parts])
+        dbeta = lanes.ordered_sum([b for _, b in parts])
+        self.gamma.grad += dgamma
+        self.beta.grad += dbeta
+        return dgamma, dbeta
 
 
 class MaxPool1D(Layer):
@@ -557,22 +622,28 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return _softmax_terms(logits)[2]
 
 
-def softmax_cross_entropy(logits: np.ndarray,
-                          labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean NLL of a row-max-stabilized softmax; returns (loss, probs)."""
+def softmax_nll(logits: np.ndarray,
+                labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row NLL of a row-max-stabilized softmax; returns (nll, probs)."""
     labels = np.asarray(labels)
     n, c = logits.shape
     if labels.min() < 0 or labels.max() >= c:
         raise LabelOutOfRange(f"labels must lie in [0, {c})")
     shifted, total, probs = _softmax_terms(logits)
-    nll = np.log(total[:, 0]) - shifted[np.arange(n), labels]
+    return np.log(total[:, 0]) - shifted[np.arange(n), labels], probs
+
+
+def softmax_cross_entropy(logits: np.ndarray,
+                          labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean NLL of a row-max-stabilized softmax; returns (loss, probs)."""
+    nll, probs = softmax_nll(logits, labels)
     return float(nll.mean()), probs
 
 
-def softmax_cross_entropy_backward(probs: np.ndarray,
-                                   labels: np.ndarray) -> np.ndarray:
-    """d(mean NLL)/d(logits) = (probs - onehot) / batch."""
-    n = probs.shape[0]
+def softmax_cross_entropy_backward(probs: np.ndarray, labels: np.ndarray,
+                                   batch: int | None = None) -> np.ndarray:
+    """d(mean NLL)/d(logits) = (probs - onehot) / batch, where batch is
+    the rows of probs unless given (a chunk gives its whole batch's)."""
     d = probs.copy()
-    d[np.arange(n), labels] -= 1.0
-    return d / n
+    d[np.arange(len(d)), labels] -= 1.0
+    return d / (len(d) if batch is None else batch)

@@ -17,10 +17,6 @@ class Adam:
         self._m = [np.zeros_like(p.value) for p in self.params]
         self._v = [np.zeros_like(p.value) for p in self.params]
 
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
-
     def step(self):
         self.t += 1
         b1, b2 = BETA1, BETA2

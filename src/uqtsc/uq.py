@@ -11,6 +11,8 @@ one.  2^16/t is 1/(1-p) up to the quantization of p to 1/65536.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .nncore.layers import Conv1D, Dense, Layer, Param, ShapeMismatch
@@ -52,18 +54,26 @@ class _Bernoulli:
     """
 
     stochastic = True
+    _given = None  # a keep mask handed in for the next pass, if any
+
+    def _draw(self, shape, rng) -> np.ndarray:
+        """One bool keep mask of the given shape, drawn from rng."""
+        if rng is None:
+            raise ValueError(f"{self.name}: active mode needs an rng")
+        size = math.prod(shape)
+        words = rng.integers(0, 1 << 64, size=-(-size // 4), dtype=np.uint64)
+        return words.view(np.uint16)[:size].reshape(shape) \
+            < _keep_threshold(self.p)
 
     def _masked(self, v, mode, rng):
+        """v masked in an active mode: by the mask handed in for this pass
+        (`_given`) where there is one, else by one drawn from rng."""
         self._kept = None
+        kept, self._given = self._given, None
         if mode in _ACTIVE_MODES and self.p > 0.0:
-            if rng is None:
-                raise ValueError(f"{self.name}: active mode needs an rng")
-            t = _keep_threshold(self.p)
-            words = rng.integers(0, 1 << 64, size=-(-v.size // 4),
-                                 dtype=np.uint64)
-            kept = words.view(np.uint16)[:v.size].reshape(v.shape) < t
-            del words  # freed before the product is allocated
-            scale = v.dtype.type(65536 / t)
+            if kept is None:
+                kept = self._draw(v.shape, rng)
+            scale = v.dtype.type(65536 / _keep_threshold(self.p))
             if mode == "train":
                 self._kept, self._scale = kept, scale
                 return self._apply_mask(v)
@@ -102,7 +112,9 @@ class _DropConnect(_Bernoulli):
 
     Adopts the base layer's attributes and Param objects, then overrides
     the `_weight`/`_backprop_weight` hooks that Dense and Conv1D route
-    their weight through.
+    their weight through.  A train pass run in chunks (`forward_steps`)
+    masks every chunk's weight with one mask, drawn once per batch from
+    the stream the chunks share.
     """
 
     def __init__(self, base, p: float):
@@ -110,6 +122,13 @@ class _DropConnect(_Bernoulli):
         vars(self).update(vars(base))
         self.p = p
         self._kept = None
+
+    def forward_steps(self, x, rng=None):
+        self._given = yield self._draw_shared, None
+        return self.forward(x, mode="train", rng=rng)
+
+    def _draw_shared(self, parts, rng):
+        return self._draw(self.w.value.shape, rng) if self.p > 0.0 else None
 
     def _weight(self, mode, rng):
         return self._masked(self.w.value, mode, rng)

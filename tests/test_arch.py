@@ -612,7 +612,8 @@ def test_plan_logits_bytes_equal_unfused(family, method, dtype):
 def _spy_lengths(net):
     """The time length of every input each BatchNorm1D, MaxPool1D and ReLU
     of net sees, by layer index, from a spy set on the layer instance, so
-    the plan's calls are counted as well as the layer loop's."""
+    the plan's calls are counted as well as the layer loop's.  A train
+    pass runs batch norm through forward_steps, which is spied on too."""
     seen = {}
     for i, layer in enumerate(net.layers):
         if isinstance(layer, (BatchNorm1D, ReLU, MaxPool1D)):
@@ -621,6 +622,12 @@ def _spy_lengths(net):
                 return _forward(x, *args, **kwargs)
             seen[i] = []
             layer.forward = spy
+        if isinstance(layer, BatchNorm1D):
+            def spy_steps(x, *args, _i=i, _steps=layer.forward_steps,
+                          **kwargs):
+                seen[_i].append(x.shape[1])
+                return (yield from _steps(x, *args, **kwargs))
+            layer.forward_steps = spy_steps
     return seen
 
 
@@ -723,8 +730,13 @@ def test_train_plan_zero_sign_differs_only_where_stated():
     bn.gamma.zero_grad()
     bn.beta.zero_grad()
     seen = []
-    backward = bn.backward
-    bn.backward = lambda d: seen.append(backward(d)) or seen[-1]
+    backward_steps = bn.backward_steps
+
+    def spy(d):  # a network's train backward runs batch norm's steps
+        seen.append((yield from backward_steps(d)))
+        return seen[-1]
+
+    bn.backward_steps = spy
     got = net.forward(x, mode="train")
     net.backward(dy)
     got_dx, = seen

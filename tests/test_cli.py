@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from uqtsc import arch, cli, data, hpo, metrics, training
+from uqtsc.nncore import lanes
 
 GEN_ARGS = ["--n-logs", "6", "--seed", "11", "--duration-s", "6.0"]
 MODEL_CONFIG = """\
@@ -98,7 +99,7 @@ def test_generate_bytes_do_not_depend_on_worker_count(tmp_path, monkeypatch):
     is left."""
     written = {}
     for cores in (1, 2):
-        monkeypatch.setattr(metrics, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(lanes, "usable_cores", lambda: cores)
         out = tmp_path / str(cores)
         assert run("generate", *GEN_ARGS, "--out", out) == 0
         assert not multiprocessing.active_children()
@@ -118,7 +119,7 @@ def test_generate_worker_error_reaches_main(tmp_path, monkeypatch, capsys):
             raise data.InvalidSpec(f"{spec.log_id} refused in the {where}")
         return synth(spec)
 
-    monkeypatch.setattr(metrics, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(lanes, "usable_cores", lambda: 2)
     monkeypatch.setattr(data, "synth_generate", refuse_one)
     assert run("generate", *GEN_ARGS, "--out", tmp_path / "g") == 1
     assert capsys.readouterr().err == \
@@ -352,22 +353,24 @@ def test_search_rerun_identical_csv(mini, tmp_path):
 
 
 def test_search_workers_match_serial(tmp_path):
-    """Threaded searches save the trials and incumbent of a serial one."""
+    """Threaded searches save the trials and incumbent of a serial one, in
+    float32 and in float64."""
     logs, prep = tmp_path / "logs", tmp_path / "prep"
     assert run("generate", "--n-logs", "4", "--seed", "11", "--duration-s",
                "6.0", "--out", logs) == 0
     assert run("prepare", "--manifest", logs / "manifest.txt", "--window",
                "64x32", "--channels", "imu", "--out", prep) == 0
-    saved = []
-    for workers in (1, 2, 3):
-        out = tmp_path / f"w{workers}"
-        assert run("search", "--data", prep, "--uq", "mc_dropout",
-                   "--iterations", "2", "--min-budget", "1", "--max-budget",
-                   "3", "--eta", "3", "--workers", workers, "--seed", "4",
-                   "--out", out) == 0
-        saved.append([(out / name).read_bytes()
-                      for name in ("trials.csv", "incumbent.txt")])
-    assert saved[1] == saved[0] and saved[2] == saved[0]
+    for precision in ("--float32", "--no-float32"):
+        saved = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}{precision}"
+            assert run("search", "--data", prep, "--uq", "mc_dropout",
+                       "--iterations", "2", "--min-budget", "1",
+                       "--max-budget", "3", "--eta", "3", "--workers",
+                       workers, "--seed", "4", precision, "--out", out) == 0
+            saved.append([(out / name).read_bytes()
+                          for name in ("trials.csv", "incumbent.txt")])
+        assert saved[1] == saved[0] and saved[2] == saved[0]
 
 
 def test_objective_tie_keeps_lower_seed(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import leaf_layers, perturbed_net
 from uqtsc import arch, metrics, training, uq
-from uqtsc.nncore import LSTM, BatchNorm1D, ShapeMismatch, blas
+from uqtsc.nncore import LSTM, BatchNorm1D, ShapeMismatch, blas, lanes
 from uqtsc.nncore.layers import softmax
 
 
@@ -124,7 +124,7 @@ def test_posterior_checks_every_chunk(family, method, monkeypatch):
     """Two lanes: row 145 sits in the ragged last chunk, of 8 or 32, which
     lane 0 runs; row 125 in chunk 15 of 8 or chunk 3 of 32, which lane 1
     runs."""
-    monkeypatch.setattr(metrics, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(lanes, "usable_cores", lambda: 2)
     net = _family_net(family, method)
     for row in (145, 125):
         x = np.random.default_rng(22).normal(size=(150, 6, 32))
@@ -239,14 +239,14 @@ def test_posterior_bytes_do_not_depend_on_lanes(family, method, monkeypatch):
     x = np.random.default_rng(28).normal(size=(150, 6, 32))
     threads = _spy(net, threading.get_ident)
     runs = []
-    for lanes in (1, 2, 3):
-        monkeypatch.setattr(metrics, "_usable_cores", lambda: lanes)
+    for n_lanes in (1, 2, 3):
+        monkeypatch.setattr(lanes, "usable_cores", lambda: n_lanes)
         threads.clear()
         runs.append(metrics.predictive_posterior(
             net, x, m=3, rng=np.random.default_rng(29)).samples.tobytes())
         assert threading.get_ident() in threads
-        if lanes > 1 and blas._openblas():
-            assert 1 < len(threads) <= lanes
+        if n_lanes > 1 and blas._openblas():
+            assert 1 < len(threads) <= n_lanes
         else:
             assert len(threads) == 1
     assert runs[1] == runs[0] and runs[2] == runs[0]
@@ -267,8 +267,8 @@ def test_posterior_plan_bytes_equal_unfused_for_any_lanes(family, method,
     net = perturbed_net(family, method, dtype)
     x = np.random.default_rng(48).normal(size=(150, 6, 32)).astype(dtype)
     expect = _plain_samples(net, x, 3, np.random.default_rng(49)).tobytes()
-    for lanes in (1, 2, 3):
-        monkeypatch.setattr(metrics, "_usable_cores", lambda: lanes)
+    for n_lanes in (1, 2, 3):
+        monkeypatch.setattr(lanes, "usable_cores", lambda: n_lanes)
         dist = metrics.predictive_posterior(net, x, m=3,
                                             rng=np.random.default_rng(49))
         assert dist.samples.tobytes() == expect
@@ -294,7 +294,7 @@ def test_posterior_restores_blas_threads(openblas_at_two, monkeypatch):
     get_threads = openblas_at_two
     net = _family_net("cnn", "mc_dropout")
     seen = _spy(net, get_threads)
-    monkeypatch.setattr(metrics, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(lanes, "usable_cores", lambda: 2)
     x = np.random.default_rng(30).normal(size=(40, 6, 32))
     for windows in (x[:1], x):
         metrics.predictive_posterior(net, windows, m=2)
@@ -314,7 +314,7 @@ def test_posterior_concurrent_callers_restore_blas_threads(openblas_at_two,
     held constants, and the count is restored and nothing is held when
     all have left."""
     get_threads = openblas_at_two
-    monkeypatch.setattr(metrics, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(lanes, "usable_cores", lambda: 2)
     net = _family_net("cnn", "mc_dropout")
     seen = _spy(net, get_threads)
     x = np.random.default_rng(31).normal(size=(64, 6, 32))
@@ -356,7 +356,7 @@ def test_posterior_memory_peak_not_above_plain_loop(monkeypatch):
     yardstick's peak; the 64 KiB slack covers only Python bookkeeping
     objects.
     """
-    monkeypatch.setattr(metrics, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(lanes, "usable_cores", lambda: 2)
     cfg = arch.ModelConfig(family="cnn", uq="mc_dropout", cnn_blocks=2,
                            f1=64, f2=64, k1=8, k2=8, max_pool=4)
     net = arch.build_network(cfg, 6, 400, seed=0)
@@ -427,7 +427,7 @@ def test_posterior_holds_nothing_after_return_or_raise(family, method,
     """Constants are held while the passes run, and nothing is held once
     the call returns, or once a lane has raised (row 12 is in chunk 1,
     which lane 1 runs)."""
-    monkeypatch.setattr(metrics, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(lanes, "usable_cores", lambda: 2)
     net = _family_net(family, method)
     layers = leaf_layers(net.layers)
     seen = _spy(net, lambda: sum(bool(layer._held) for layer in layers))
