@@ -2,12 +2,13 @@
 
 `deal(work, n)` runs work(0) ... work(n-1), dealt round-robin to one lane
 per usable core, at most one per item.  Lane 0 runs in the calling
-thread; the other lanes are handed to one persistent pool of helper
-threads, shared by every caller in the process and started on first
-use.  When the caller has run its own lane, it takes back every helper
-lane that no pool thread has started yet and runs it itself, so a call
-never waits on work queued behind other callers' lanes: concurrent
-searches and posteriors each make progress however busy the pool is.
+thread; the other lanes are submitted to one persistent pool of
+usable-cores - 1 threads, shared by every caller in the process, whose
+threads start on first use.  When the caller has run its own lane, it
+cancels every helper lane that no pool thread has started yet and runs
+it itself, so a call never waits on work queued behind other callers'
+lanes: concurrent searches and posteriors each make progress however
+busy the pool is.
 
 `run_steps(steps)` runs several generators in lockstep on those lanes:
 each one yields a request at every point where it needs a value computed
@@ -23,8 +24,8 @@ they pass parallel=False and one lane runs everything.
 from __future__ import annotations
 
 import os
-import queue
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 
 def usable_cores() -> int:
@@ -44,62 +45,20 @@ def ordered_sum(parts: list):
     return total
 
 
-class _Share:
-    """One helper lane of one deal, run once by whichever thread takes it
-    first: a pool thread, or the caller taking it back."""
-
-    __slots__ = ("run", "taken", "done", "error")
-
-    def __init__(self, run):
-        self.run = run
-        self.taken = threading.Lock()
-        self.done = threading.Event()
-        self.error = None
-
-    def take(self) -> bool:
-        return self.taken.acquire(blocking=False)
-
-    def execute(self):
-        try:
-            self.run()
-        except BaseException as exc:  # raised again by the dealing caller
-            self.error = exc
-        finally:
-            self.done.set()
+def _new_pool() -> ThreadPoolExecutor:
+    # the caller runs lane 0 itself; a thread more than the other lanes
+    # need only adds a malloc arena
+    return ThreadPoolExecutor(max(usable_cores() - 1, 1),
+                              thread_name_prefix="uqtsc-lane")
 
 
-class _Pool:
-    """Helper threads that run the shares put on one queue; they are
-    daemons, idle between deals, and grow to the most lanes asked for."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.shares = queue.SimpleQueue()
-        self.threads = 0
-
-    def submit(self, shares: list[_Share]):
-        with self.lock:
-            while self.threads < len(shares):
-                self.threads += 1
-                threading.Thread(target=self._serve, daemon=True,
-                                 name=f"uqtsc-lane-{self.threads}").start()
-        for share in shares:
-            self.shares.put(share)
-
-    def _serve(self):
-        while True:
-            share = self.shares.get()
-            if share.take():
-                share.execute()
-
-
-_pool = _Pool()
+_pool = _new_pool()
 
 
 def _fresh_pool():
     # a forked child has none of its parent's pool threads
     global _pool
-    _pool = _Pool()
+    _pool = _new_pool()
 
 
 if hasattr(os, "register_at_fork"):
@@ -120,29 +79,30 @@ def deal(work, n_items: int, parallel: bool = True) -> None:
     failed = threading.Event()
 
     def lane(k):
-        def run():
-            try:
-                for i in range(k, n_items, lanes):
-                    if failed.is_set():
-                        return
-                    work(i)
-            except BaseException:
-                failed.set()
-                raise
-        return run
+        try:
+            for i in range(k, n_items, lanes):
+                if failed.is_set():
+                    return
+                work(i)
+        except BaseException:
+            failed.set()
+            raise
 
-    shares = [_Share(lane(k)) for k in range(1, lanes)]
-    _pool.submit(shares)
-    mine = _Share(lane(0))
-    mine.execute()
-    for share in shares:
-        if share.take():
-            share.execute()
-        else:
-            share.done.wait()
-    for share in [mine] + shares:
-        if share.error is not None:
-            raise share.error
+    def run_here(k):
+        try:
+            lane(k)
+        except BaseException as exc:  # raised below, in lane order
+            return exc
+        return None
+
+    helpers = [_pool.submit(lane, k) for k in range(1, lanes)]
+    errors = [run_here(0)]
+    # a helper no pool thread has started is cancelled and run here
+    errors += [run_here(k) if share.cancel() else share.exception()
+               for k, share in enumerate(helpers, 1)]
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def run_steps(steps: list, rng=None, parallel: bool = True) -> list:

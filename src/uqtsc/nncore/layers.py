@@ -156,10 +156,14 @@ class Dense(Layer):
         self.w.grad += dw_eff
 
     def forward(self, x, mode="train", rng=None):
+        return self._forward(x, mode, lambda: self._weight(mode, rng))
+
+    def _forward(self, x, mode, weight):
+        """forward with this pass's effective weight taken from weight()."""
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ShapeMismatch(
                 f"{self.name}: expected [batch, {self.n_in}], got {x.shape}")
-        w = self._weight(mode, rng)
+        w = weight()
         self._x, self._w_used = (x, w) if mode == "train" else (None, None)
         return x @ w + self.b.value
 
@@ -233,6 +237,10 @@ class Conv1D(Layer):
         self.w.grad += dw_eff
 
     def forward(self, x, mode="train", rng=None):
+        return self._forward(x, mode, lambda: self._weight(mode, rng))
+
+    def _forward(self, x, mode, weight):
+        """forward with this pass's effective weight taken from weight()."""
         if x.ndim != 3 or x.shape[2] != self.n_in:
             raise ShapeMismatch(
                 f"{self.name}: expected [batch, len, {self.n_in}], got {x.shape}")
@@ -242,7 +250,7 @@ class Conv1D(Layer):
         def relayout():
             # [F, C, k] -> [k*C, F], rows in im2col column order; the cast
             # keeps the GEMM and its output in the input precision
-            return self._weight(mode, rng).astype(x.dtype, copy=False) \
+            return weight().astype(x.dtype, copy=False) \
                 .transpose(2, 1, 0).reshape(k * self.n_in, self.filters)
 
         wmat = relayout() if self.stochastic else self._constant(

@@ -5,8 +5,9 @@ Each mini-batch is cut into CHUNKS chunks of consecutive windows, sizes
 differing by at most one, and the chunks run the forward and backward
 pass data-parallel on lanes (`lanes.run_steps`), each on its own replica
 of the network (`Network.replica`): its own layer caches and gradients,
-the parameter values shared.  The chunks meet only where the batch as a
-whole decides:
+the parameter values shared.  A network with an LSTM runs its chunks on
+one lane, one after the other, with the same bytes.  The chunks meet
+only where the batch as a whole decides:
   * train-mode batch norm statistics and dgamma, dbeta, summed over the
     chunks in chunk order (`BatchNorm1D.forward_steps`);
   * a DropConnect layer's weight mask, drawn once per batch from the
@@ -32,7 +33,7 @@ import numpy as np
 from . import metrics, uq
 from .arch import Network
 from .nncore import blas, lanes
-from .nncore.layers import (softmax_cross_entropy,
+from .nncore.layers import (LSTM, softmax_cross_entropy,
                             softmax_cross_entropy_backward, softmax_nll)
 from .nncore.optim import Adam
 
@@ -144,6 +145,10 @@ def train_network(net: Network, x_train, y_train, x_val, y_val,
     opt = Adam(net.params(), lr=LEARNING_RATE)
     flip = [l for l in net.layers if isinstance(l, uq.FlipoutDense)]
     replicas = [net.replica() for _ in range(CHUNKS)]
+    # an LSTM's time loop is thousands of small operations that each drop
+    # and retake the GIL: at batch 16 and 32, two chunks of it on two
+    # lanes ran 1.4-2.2x slower than one chunk after the other (CHANGES.md)
+    loops = any(isinstance(layer, LSTM) for layer in net.layers)
 
     history = []
     with blas.one_thread() as pinned:
@@ -153,7 +158,7 @@ def train_network(net: Network, x_train, y_train, x_val, y_val,
             total, seen, kl_val = 0.0, 0, 0.0
             for idx in batches:
                 loss = _batch_step(replicas, opt.params, x_train, y_train,
-                                   idx, rng, pinned)
+                                   idx, rng, pinned and not loops)
                 if flip:
                     kl_val = sum(layer.kl() for layer in flip)
                     loss = uq.elbo_loss(loss, kl_val, kl_weight)

@@ -54,7 +54,6 @@ class _Bernoulli:
     """
 
     stochastic = True
-    _given = None  # a keep mask handed in for the next pass, if any
 
     def _draw(self, shape, rng) -> np.ndarray:
         """One bool keep mask of the given shape, drawn from rng."""
@@ -66,20 +65,19 @@ class _Bernoulli:
             < _keep_threshold(self.p)
 
     def _masked(self, v, mode, rng):
-        """v masked in an active mode: by the mask handed in for this pass
-        (`_given`) where there is one, else by one drawn from rng."""
         self._kept = None
-        kept, self._given = self._given, None
         if mode in _ACTIVE_MODES and self.p > 0.0:
-            if kept is None:
-                kept = self._draw(v.shape, rng)
-            scale = v.dtype.type(65536 / _keep_threshold(self.p))
-            if mode == "train":
-                self._kept, self._scale = kept, scale
-                return self._apply_mask(v)
-            mask = np.multiply(kept, scale, dtype=v.dtype)
-            return np.multiply(v, mask, out=mask)
+            return self._masked_by(self._draw(v.shape, rng), v, mode)
         return v
+
+    def _masked_by(self, kept, v, mode):
+        """v times keep mask kept, scaled by 2^16/t, in an active mode."""
+        scale = v.dtype.type(65536 / _keep_threshold(self.p))
+        if mode == "train":
+            self._kept, self._scale = kept, scale
+            return self._apply_mask(v)
+        mask = np.multiply(kept, scale, dtype=v.dtype)
+        return np.multiply(v, mask, out=mask)
 
     def _apply_mask(self, a):
         """a * (kept * scale) of the last train pass, to the byte, with no
@@ -114,7 +112,8 @@ class _DropConnect(_Bernoulli):
     the `_weight`/`_backprop_weight` hooks that Dense and Conv1D route
     their weight through.  A train pass run in chunks (`forward_steps`)
     masks every chunk's weight with one mask, drawn once per batch from
-    the stream the chunks share.
+    the stream the chunks share and passed to the base layer's
+    `_forward` as that pass's weight.
     """
 
     def __init__(self, base, p: float):
@@ -124,8 +123,11 @@ class _DropConnect(_Bernoulli):
         self._kept = None
 
     def forward_steps(self, x, rng=None):
-        self._given = yield self._draw_shared, None
-        return self.forward(x, mode="train", rng=rng)
+        kept = yield self._draw_shared, None
+        if kept is None:  # p = 0 masks nothing
+            return self.forward(x, mode="train", rng=rng)
+        return self._forward(
+            x, "train", lambda: self._masked_by(kept, self.w.value, "train"))
 
     def _draw_shared(self, parts, rng):
         return self._draw(self.w.value.shape, rng) if self.p > 0.0 else None

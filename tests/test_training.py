@@ -229,6 +229,29 @@ def test_float32_epoch_bytes_with_and_without_outer_one_thread(
     assert _pinned_run(fields) == sha
 
 
+@pytest.mark.parametrize("family,parallel", [("cnn", True),
+                                             ("lstm", False),
+                                             ("cnn_lstm", False)])
+def test_lstm_chunks_run_on_one_lane(family, parallel, monkeypatch,
+                                     openblas_at_two):
+    """A network with an LSTM runs its chunks one after the other; any
+    other network deals them to lanes."""
+    seen = []
+    run_steps = lanes.run_steps
+
+    def spy(steps, rng=None, parallel=True):
+        seen.append(parallel)
+        return run_steps(steps, rng, parallel)
+
+    monkeypatch.setattr(lanes, "run_steps", spy)
+    cfg = arch.ModelConfig(family=family, uq="mc_dropout", cnn_blocks=1,
+                           f1=16, k1=4, max_pool=2, u1=8, batch_size=16)
+    x, y = _toy_data(32, 55)
+    training.train_network(arch.build_network(cfg, 3, 16, seed=56), x, y,
+                           x[:8], y[:8], epochs=1, seed=57)
+    assert seen and set(seen) == {parallel}
+
+
 def test_batch_chunks_depend_on_the_batch_alone():
     """Every batch of 2 or more windows is CHUNKS runs of consecutive
     positions, longest first, sizes differing by at most one."""
