@@ -174,11 +174,20 @@ def _block_dropout(config: ModelConfig, block: int,
     return None
 
 
-def _run(layers: list[Layer], h, mode: str, rng) -> np.ndarray:
+def _step(layer: Layer, h, mode: str, rng, passes: int) -> np.ndarray:
+    """layer's forward of h; a stochastic layer is also told how many
+    passes' rows h stacks (see `uq`)."""
+    if layer.stochastic:
+        return layer.forward(h, mode=mode, rng=rng, passes=passes)
+    return layer.forward(h, mode=mode, rng=rng)
+
+
+def _run(layers: list[Layer], h, mode: str, rng,
+         passes: int = 1) -> np.ndarray:
     """Run h through layers in order; the loop rebinds its activation, so
     an input stays alive past its layer only where a caller keeps it."""
     for layer in layers:
-        h = layer.forward(h, mode=mode, rng=rng)
+        h = _step(layer, h, mode, rng, passes)
     return h
 
 
@@ -274,10 +283,11 @@ class ResidualBlock(Layer):
         for layer in self.main + self.shortcut:
             layer.hold(on)
 
-    def forward(self, x, mode="train", rng=None):
+    def forward(self, x, mode="train", rng=None, passes=1):
         if mode == "train":
             return lanes.run_steps([self.forward_steps(x, rng)], rng)[0]
-        y = _run(self.main, x, mode, rng) + _run(self.shortcut, x, mode, rng)
+        y = _run(self.main, x, mode, rng, passes) \
+            + _run(self.shortcut, x, mode, rng, passes)
         return self.relu.forward(y, mode=mode)
 
     def forward_steps(self, x, rng=None):
@@ -365,7 +375,7 @@ class Network:
 
     def forward(self, x: np.ndarray, mode: str = "train",
                 rng: np.random.Generator | None = None, start: int = 0,
-                stop: int | None = None) -> np.ndarray:
+                stop: int | None = None, passes: int = 1) -> np.ndarray:
         """Run layers[start:stop] on x and return their output.
 
         With start 0, x is a network input in the on-disk [batch, channels,
@@ -376,7 +386,10 @@ class Network:
         as one chunk (`forward_steps`).  Outside train, every BatchNorm1D
         -> MaxPool1D pair that lies whole inside the slice pools first
         (`_pool_first`); a pair that start or stop cuts runs layer by
-        layer.  `backward` follows a train forward of the whole stack.
+        layer.  Outside train, x may stack the rows of `passes`
+        stochastic passes, pass after pass; every stochastic layer is
+        handed that count (see `uq`).  `backward` follows a train forward
+        of the whole stack.
         """
         if start == 0:
             x = self._layout(x)
@@ -396,7 +409,7 @@ class Network:
                 x = _pool_first(layers[i], layers[i + 1], x, mode)
                 i += 2
             else:
-                x = layers[i].forward(x, mode=mode, rng=rng)
+                x = _step(layers[i], x, mode, rng, passes)
                 i += 1
         return x
 

@@ -377,7 +377,9 @@ def trim_idle(log: TimeSeriesLog, speed_threshold: float,
     order with labels still aligned.  Raises AllIdle when nothing survives.
     """
     act = activity_signal(log)
-    min_run = int(math.ceil(min_gap_s * log.sample_rate_hz))
+    # rounded first: 0.07 s at 100 Hz is 7.000000000000001 samples, and a
+    # 7-sample run lasts 0.07 s
+    min_run = math.ceil(round(min_gap_s * log.sample_rate_hz, 6))
     # starts and ends of the sub-threshold runs, alternating
     edges = np.flatnonzero(np.diff(act < speed_threshold, prepend=False,
                                    append=False))

@@ -2,18 +2,24 @@
 
 The posterior over classes is the mean of M stochastic forward passes;
 entropy is computed on that mean distribution (natural log).  The
-windows are cut into chunks, and chunk c takes all M passes from its own
-child stream, the c-th of `rng.spawn(n_chunks)`, so chunks are
-independent: they are dealt round-robin to one lane per usable core and
-run at once, with OpenBLAS held to one thread so that every product runs
-in its lane's thread and the bytes do not depend on the lane count.  The
-layers before a network's first stochastic one are deterministic in
-mc_infer mode, so they run once per chunk and all M passes start from
-their output, and the whole call runs inside `Network.frozen()`, so
-each layer derives its inference constants once per call.  ECE bins by
-max-probability confidence into K equal-width right-inclusive bins.
-Candidate selection requires both per-class F1 scores at or above 0.9
-and mean entropy at or below 0.1, boundaries inclusive.
+windows are cut into chunks, and chunk c takes its M passes from its own
+child stream, the c-th of `rng.spawn(n_chunks)`.  A chunk's passes are
+cut into tiles, and tile t draws from the t-th child of its chunk's
+stream.  A tile of q passes runs them as one forward of q stacked copies
+of the chunk, so every forward holds about one chunk's rows: a call of
+at least a chunk of windows has one-pass tiles, and a one-window call
+with M = 10 two tiles of 5.  The chunks, and inside each chunk its
+tiles, are dealt round-robin to one lane per usable core, so a call of
+fewer than CHUNK windows also runs on every usable core.  OpenBLAS is
+held to one thread, so every product runs in its lane's thread and the
+bytes do not depend on the lane count.  The layers before a network's
+first stochastic one are deterministic in mc_infer mode, so they run
+once per chunk and every tile starts from their output, and the whole
+call runs inside `Network.frozen()`, so each layer derives its inference
+constants once per call.  ECE bins by max-probability confidence into K
+equal-width right-inclusive bins.  Candidate selection requires both
+per-class F1 scores at or above 0.9 and mean entropy at or below 0.1,
+boundaries inclusive.
 """
 
 from __future__ import annotations
@@ -87,25 +93,36 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
 
     The windows are cut into chunks (LSTM_CHUNK for a network with an
     LSTM, CHUNK for any other), and chunk c draws from the c-th child of
-    `rng.spawn(n_chunks)`, so its samples are those of m plain
-    `net.forward(chunk, mode="mc_infer", rng=child)` calls.  rng itself
-    draws nothing; only its count of spawned children moves.  One
-    `stop=net.first_stochastic` call per chunk runs the layers before
-    the first stochastic one, which draw nothing, and the m passes start
-    from its output; with a stochastic first layer every pass runs the
-    whole network.
+    `rng.spawn(n_chunks)`.  rng itself draws nothing; only its count of
+    spawned children moves.  One `stop=net.first_stochastic` call per
+    chunk runs the layers before the first stochastic one, which draw
+    nothing; with a stochastic first layer the chunk itself is that
+    output.
 
-    The whole call holds OpenBLAS to one thread (`blas.one_thread`), and
-    the chunks are dealt round-robin to one lane per usable core, at
-    most one per chunk (`lanes.deal`): lane 0 runs in the calling thread,
-    the others on the shared pool, all finished before the call returns,
-    and an exception in any lane is raised here.  Where no OpenBLAS is
-    found, one lane runs them all.
-    The samples are the same bytes for any lane count.  The lanes run
-    inside `net.frozen()`, so each layer derives its inference constants
-    (a plain conv's weight matrix, a batch norm's tiled rows and gamma
-    sign, Flipout's sigmas) and the network its inference plan once per
-    call, not once per pass; nothing stays held after the call.
+    The chunk's m passes are cut into tiles.  With n windows in chunks
+    of step, a tile would hold q = step // min(n, step) passes (1 once n
+    reaches step); the m passes take n_tiles = ceil(m / q) tiles of
+    ceil(m / n_tiles) passes each, the last tile taking what is left.
+    Tile t draws from the t-th child of the chunk's `spawn(n_tiles)`: one
+    `net.forward(..., start=first, passes=p)` on p copies of the chunk's
+    output, stacked pass after pass, gives the samples of its p passes in
+    order.  Dropout masks the stacked tensor with one mask; DropConnect
+    and Flipout draw one weight sample per pass, in pass order (see
+    `uq`).
+
+    The whole call holds OpenBLAS to one thread (`blas.one_thread`).
+    The chunks are dealt round-robin to one lane per usable core, at
+    most one per chunk, and each chunk deals its tiles in turn
+    (`lanes.deal`): a lane runs in the calling thread or on the shared
+    pool, all finished before the call returns, and an exception in any
+    lane is raised here.  So a call of fewer than CHUNK windows, a
+    single window among them, also runs on every usable core.  Where no
+    OpenBLAS is found, one lane runs everything.  The samples are the
+    same bytes for any lane count.  The lanes run inside `net.frozen()`,
+    so each layer derives its inference constants (a plain conv's weight
+    matrix, a batch norm's tiled rows and gamma sign, Flipout's sigmas)
+    and the network its inference plan once per call, not once per
+    pass; nothing stays held after the call.
 
     Softmax runs on float64 logits, so float32 networks yield rows that
     sum to 1 within 1e-9.
@@ -119,17 +136,30 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
             else CHUNK)
     starts = range(0, n, step)
     streams = rng.spawn(len(starts))
+    # passes per tile, so that a forward holds about one chunk's rows
+    q = step // max(1, min(n, step))
+    n_tiles = -(-m // q)
+    per_tile = -(-m // n_tiles)
     samples = np.empty((m, n, 2))
 
     def run_chunk(c):
-        lo, child = starts[c], streams[c]
+        lo = starts[c]
         h = x[lo:lo + step]
         rows = slice(lo, lo + h.shape[0])
         if first:
-            h = net.forward(h, mode="mc_infer", rng=child, stop=first)
-        for j in range(m):
-            logits = net.forward(h, mode="mc_infer", rng=child, start=first)
-            samples[j, rows] = softmax(logits.astype(np.float64, copy=False))
+            h = net.forward(h, mode="mc_infer", stop=first)
+        tiles = streams[c].spawn(n_tiles)
+
+        def run_tile(t):
+            j = t * per_tile
+            passes = min(per_tile, m - j)
+            stacked = np.concatenate([h] * passes) if passes > 1 else h
+            logits = net.forward(stacked, mode="mc_infer", rng=tiles[t],
+                                 start=first, passes=passes)
+            samples[j:j + passes, rows] = softmax(
+                logits.astype(np.float64, copy=False)).reshape(passes, -1, 2)
+
+        lanes.deal(run_tile, n_tiles, pinned)
 
     with blas.one_thread() as pinned, net.frozen():
         lanes.deal(run_chunk, len(starts), pinned)

@@ -8,7 +8,12 @@ threads start on first use.  When the caller has run its own lane, it
 cancels every helper lane that no pool thread has started yet and runs
 it itself, so a call never waits on work queued behind other callers'
 lanes: concurrent searches and posteriors each make progress however
-busy the pool is.
+busy the pool is.  For the same reason deals nest: work(i) may itself
+deal (a posterior chunk deals its tiles), and an inner helper that
+finds every pool thread busy, its outer lane's among them, is run by
+its own caller.  A cancelled helper stays in the pool's queue until a
+pool thread drops it, but by the time its call returns it refers to
+none of that call's work.
 
 `run_steps(steps)` runs several generators in lockstep on those lanes:
 each one yields a request at every point where it needs a value computed
@@ -65,12 +70,18 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_fresh_pool)
 
 
+def _run_lane(held: list, k: int):
+    held[0](k)
+
+
 def deal(work, n_items: int, parallel: bool = True) -> None:
     """Run work(i) for every i < n_items on min(usable cores, n_items)
     lanes, one lane with parallel=False; lane k runs items k, k + lanes,
     ... in order.  Every lane has finished when this returns or raises.
     A lane's exception is raised here, the lowest lane's first, and the
-    other lanes stop before their next item."""
+    other lanes stop before their next item.  work may deal in turn:
+    every lane of the inner call has finished, on a pool thread or in
+    the thread that called it, before its item does."""
     lanes = min(usable_cores(), n_items) if parallel else 1
     if lanes <= 1:
         for i in range(n_items):
@@ -95,11 +106,15 @@ def deal(work, n_items: int, parallel: bool = True) -> None:
             return exc
         return None
 
-    helpers = [_pool.submit(lane, k) for k in range(1, lanes)]
+    # emptied on return, so a helper left cancelled in the pool's queue
+    # keeps none of this call's work alive
+    held = [lane]
+    helpers = [_pool.submit(_run_lane, held, k) for k in range(1, lanes)]
     errors = [run_here(0)]
     # a helper no pool thread has started is cancelled and run here
     errors += [run_here(k) if share.cancel() else share.exception()
                for k, share in enumerate(helpers, 1)]
+    held.clear()
     for exc in errors:
         if exc is not None:
             raise exc

@@ -7,6 +7,12 @@ inverted scaling — survivors are multiplied by 2^16/t at mask time, where
 t = round((1-p)·2^16) is the keep threshold of a 16-bit random lane —
 which makes every masked pass an unbiased estimate of the deterministic
 one.  2^16/t is 1/(1-p) up to the quantization of p to 1/65536.
+
+An mc_infer input may stack several passes' rows, pass after pass
+(`passes`, handed on by `arch.Network.forward`).  Dropout masks the
+stacked tensor with one mask; DropConnect and Flipout, whose noise is on
+the weight, draw one weight sample per pass, in pass order, so each pass
+is the bytes of a forward of its rows alone.
 """
 
 from __future__ import annotations
@@ -36,6 +42,14 @@ def _keep_threshold(p: float) -> int:
 def _check_rate(p: float):
     if not (0.0 <= p < 1.0) or _keep_threshold(p) == 0:
         raise InvalidRate(f"dropout rate must lie in [0, 1 - 2**-17), got {p}")
+
+
+def _per_pass(forward, x, passes: int) -> np.ndarray:
+    """forward(x), or with x stacking `passes` passes of equal rows,
+    forward of each pass's rows in pass order, the outputs stacked again."""
+    if passes == 1:
+        return forward(x)
+    return np.concatenate([forward(rows) for rows in np.split(x, passes)])
 
 
 class _Bernoulli:
@@ -90,7 +104,9 @@ class _Bernoulli:
 
 
 class MCDropout(_Bernoulli, Layer):
-    """Bernoulli activation masking, active in train and mc_infer modes."""
+    """Bernoulli activation masking, active in train and mc_infer modes.
+
+    Stacked passes take one mask over all their rows."""
 
     def __init__(self, p: float, name: str = "dropout"):
         _check_rate(p)
@@ -98,7 +114,7 @@ class MCDropout(_Bernoulli, Layer):
         self.p = p
         self._kept = None
 
-    def forward(self, x, mode="train", rng=None):
+    def forward(self, x, mode="train", rng=None, passes=1):
         return self._masked(x, mode, rng)
 
     def backward(self, dy):
@@ -121,6 +137,10 @@ class _DropConnect(_Bernoulli):
         vars(self).update(vars(base))
         self.p = p
         self._kept = None
+
+    def forward(self, x, mode="train", rng=None, passes=1):
+        forward = super().forward
+        return _per_pass(lambda rows: forward(rows, mode, rng), x, passes)
 
     def forward_steps(self, x, rng=None):
         kept = yield self._draw_shared, None
@@ -188,7 +208,7 @@ class FlipoutDense(Layer):
     def params(self):
         return [self.mu_w, self.rho_w, self.mu_b, self.rho_b]
 
-    def forward(self, x, mode="train", rng=None):
+    def forward(self, x, mode="train", rng=None, passes=1):
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ShapeMismatch(
                 f"{self.name}: expected [batch, {self.n_in}], got {x.shape}")
@@ -197,6 +217,11 @@ class FlipoutDense(Layer):
             return x @ self.mu_w.value + self.mu_b.value
         if rng is None:
             raise ValueError(f"{self.name}: active mode needs an rng")
+        return _per_pass(lambda rows: self._sampled(rows, mode, rng), x,
+                         passes)
+
+    def _sampled(self, x, mode, rng):
+        """One active pass: its noise drawn from rng, then applied."""
         batch = x.shape[0]
         r, s, e_w, e_b = (a.astype(x.dtype, copy=False) for a in (
             _SIGNS[rng.integers(0, 2, size=(batch, self.n_in))],

@@ -10,7 +10,8 @@ import pytest
 
 from conftest import leaf_layers, perturbed_net
 from uqtsc import arch, metrics, training, uq
-from uqtsc.nncore import LSTM, BatchNorm1D, ShapeMismatch, blas, lanes
+from uqtsc.nncore import (LSTM, BatchNorm1D, Conv1D, Dense,
+                          ShapeMismatch, blas, lanes)
 from uqtsc.nncore.layers import softmax
 
 
@@ -74,24 +75,40 @@ def _family_net(family, method, dtype=np.float64):
     return arch.build_network(cfg, 6, 32, seed=2).astype(dtype)
 
 
+def _tiles(n, m, step):
+    """(first pass, passes) of every tile of a chunk's m passes in an
+    n-window call with step-window chunks: q = step // min(n, step)
+    passes per tile, balanced over ceil(m / q) tiles."""
+    n_tiles = -(-m // (step // min(n, step)))
+    per_tile = -(-m // n_tiles)
+    return [(j, min(per_tile, m - j)) for j in range(0, m, per_tile)]
+
+
 def _plain_samples(net, x, m, rng):
-    """m full forward passes per chunk, one chunk after another, as the
-    reference: 32 windows per chunk for a network with an LSTM, 8
-    otherwise, and chunk c draws from the c-th child of rng.spawn.  Each
-    pass runs the layers one by one (`arch._run`), not the inference plan
-    that `net.forward` takes.  Its products run on one OpenBLAS thread,
-    as the posterior's do."""
+    """The reference, one chunk after another: 32 windows per chunk for a
+    network with an LSTM, 8 otherwise, and chunk c takes the c-th child
+    of rng.spawn.  A chunk's m passes are cut into tiles (`_tiles`), and
+    tile t draws from the t-th child of its chunk's stream: the layers
+    before the first stochastic one run on the chunk, and the rest on
+    that output stacked once per pass of the tile.  Each tile runs the
+    layers one by one (`arch._run`), not the inference plan that
+    `net.forward` takes, and reruns the prefix.  Its products run on one
+    OpenBLAS thread, as the posterior's do."""
     samples = np.empty((m, len(x), 2))
     step = 32 if any(isinstance(layer, LSTM) for layer in net.layers) else 8
     starts = range(0, len(x), step)
+    first = net.first_stochastic
+    tiles = _tiles(len(x), m, step)
     with blas.one_thread():
         for lo, child in zip(starts, rng.spawn(len(starts))):
-            for j in range(m):
-                logits = arch._run(net.layers,
-                                   x[lo:lo + step].transpose(0, 2, 1),
-                                   "mc_infer", child)
-                samples[j, lo:lo + len(logits)] = softmax(
-                    logits.astype(np.float64))
+            chunk = x[lo:lo + step].transpose(0, 2, 1)
+            for (j, passes), tile in zip(tiles, child.spawn(len(tiles))):
+                h = arch._run(net.layers[:first], chunk, "mc_infer", None)
+                logits = arch._run(net.layers[first:],
+                                   np.concatenate([h] * passes), "mc_infer",
+                                   tile, passes)
+                samples[j:j + passes, lo:lo + len(chunk)] = softmax(
+                    logits.astype(np.float64)).reshape(passes, -1, 2)
     return samples
 
 
@@ -252,6 +269,55 @@ def test_posterior_bytes_do_not_depend_on_lanes(family, method, monkeypatch):
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
+@pytest.mark.parametrize("n", (1, 3, 7))
+@pytest.mark.parametrize("family, method", [
+    ("cnn", "mc_dropout"), ("cnn", "dropconnect"), ("cnn_lstm", "flipout"),
+    ("resnet", "mc_dropout")])
+def test_small_posterior_bytes_do_not_depend_on_lanes(family, method, n,
+                                                      monkeypatch):
+    """Fewer windows than a chunk, M = 10: one chunk whose passes are cut
+    into tiles of several stacked passes, dealt to 1, 2 and 3 lanes; every
+    lane count gives the reference bytes."""
+    net = _family_net(family, method)
+    x = np.random.default_rng(50).normal(size=(n, 6, 32))
+    expect = _plain_samples(net, x, 10, np.random.default_rng(51)).tobytes()
+    for n_lanes in (1, 2, 3):
+        monkeypatch.setattr(lanes, "usable_cores", lambda: n_lanes)
+        dist = metrics.predictive_posterior(net, x, m=10,
+                                            rng=np.random.default_rng(51))
+        assert dist.samples.tobytes() == expect
+
+
+def _stacked_layer(kind):
+    rng = np.random.default_rng(52)
+    if kind == "dropconnect_conv":
+        return uq.DropConnectConv1D(Conv1D(6, 5, 3, rng), 0.3), (4, 9, 6)
+    if kind == "dropconnect_dense":
+        return uq.DropConnectDense(Dense(6, 5, rng), 0.3), (4, 6)
+    return uq.FlipoutDense(Dense(6, 5, rng)), (4, 6)
+
+
+@pytest.mark.parametrize("passes", (2, 5))
+@pytest.mark.parametrize("kind", ("dropconnect_conv", "dropconnect_dense",
+                                  "flipout"))
+def test_stacked_weight_noise_tile_equals_single_passes(kind, passes):
+    """A weight-noise layer on `passes` stacked copies of its rows gives,
+    block by block, the bytes of that many single-pass forwards that draw
+    in order from one generator, and leaves that generator where they
+    leave it."""
+    layer, shape = _stacked_layer(kind)
+    h = np.random.default_rng(53).normal(size=shape)
+    rng_a, rng_b = np.random.default_rng(54), np.random.default_rng(54)
+    stacked = layer.forward(np.concatenate([h] * passes), mode="mc_infer",
+                            rng=rng_a, passes=passes)
+    blocks = np.split(stacked, passes)
+    for block in blocks:
+        single = layer.forward(h, mode="mc_infer", rng=rng_b)
+        assert block.tobytes() == single.tobytes()
+    assert len({block.tobytes() for block in blocks}) == passes
+    _next_draws_agree(rng_a, rng_b)
+
+
 @pytest.mark.parametrize("family, method, dtype", [
     pytest.param(f, m, d, id=f"{f}-{m}-{np.dtype(d).name}")
     for f in arch.FAMILIES for m in arch.UQ_METHODS
@@ -384,6 +450,41 @@ def test_posterior_memory_peak_not_above_plain_loop(monkeypatch):
     assert ours <= plain + 64 * 1024, (ours, plain)
 
 
+def test_one_window_posterior_forwards_hold_a_chunk_of_rows(monkeypatch):
+    """One window, M = 10, on two lanes: the prefix runs on the window,
+    then two tiles of 5 stacked passes run at once, one per lane, so no
+    forward holds more than a chunk's rows and the call peaks below a
+    call on one full chunk of 8 windows."""
+    monkeypatch.setattr(lanes, "usable_cores", lambda: 2)
+    cfg = arch.ModelConfig(family="cnn", uq="mc_dropout", cnn_blocks=2,
+                           f1=64, f2=64, k1=8, k2=8, max_pool=4)
+    net = arch.build_network(cfg, 6, 400, seed=0)
+    x = np.random.default_rng(25).normal(size=(metrics.CHUNK, 6, 400))
+    forward, rows, threads = net.forward, [], set()
+
+    def spy(h, *args, **kwargs):
+        rows.append(len(h))
+        threads.add(threading.get_ident())
+        return forward(h, *args, **kwargs)
+
+    def peak(windows):
+        tracemalloc.start()
+        try:
+            metrics.predictive_posterior(net, windows, m=10,
+                                         rng=np.random.default_rng(0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    full = peak(x)
+    net.forward = spy
+    one = peak(x[:1])
+    assert sorted(rows) == [1, 5, 5]
+    if blas._openblas():
+        assert len(threads) == 2
+    assert one <= full, (one, full)
+
+
 def _count_forwards(net):
     """Per-layer forward call counts, kept up to date as the net runs, in
     any number of threads."""
@@ -464,6 +565,26 @@ def test_posterior_dropconnect_conv_redraws_weight_every_pass(monkeypatch):
     assert len({row.tobytes() for row in dist.samples[:, 0]}) == 10
 
 
+@pytest.mark.parametrize("family", ("cnn", "cnn_lstm"))
+def test_posterior_flipout_redraws_weight_every_pass(family, monkeypatch):
+    """One window, M = 10, in one tile of 10 stacked passes or two of 5:
+    the Flipout head draws its weight noise on all 10 passes, so the 10
+    samples are pairwise distinct."""
+    net = _family_net(family, "flipout")
+    draws = Counter()
+    sampled = uq.FlipoutDense._sampled
+
+    def counted(self, x, mode, rng):
+        draws[self.name] += 1
+        return sampled(self, x, mode, rng)
+
+    monkeypatch.setattr(uq.FlipoutDense, "_sampled", counted)
+    x = np.random.default_rng(34).normal(size=(1, 6, 32))
+    dist = metrics.predictive_posterior(net, x, m=10)
+    assert list(draws.values()) == [10]
+    assert len({row.tobytes() for row in dist.samples[:, 0]}) == 10
+
+
 @pytest.mark.parametrize("dtype", (np.float64, np.float32))
 def test_posterior_plans_once_per_call(dtype, monkeypatch):
     """One window, M = 10: the fused pairs are found once per call, and
@@ -515,9 +636,9 @@ def test_posterior_after_train_step_equals_loaded_checkpoint(family, method,
 
 
 def test_posterior_tiles_batch_norm_rows_once_per_length(monkeypatch):
-    """One window, M = 10: both batch norms follow the first dropout, so
-    they run on every pass, each at one length, and tile their rows
-    once."""
+    """One window, M = 10: two tiles of 5 stacked passes.  Both batch
+    norms follow the first dropout, so they run once per tile, each at
+    one length, and tile their rows once."""
     net = _family_net("cnn", "mc_dropout")
     tiled = Counter()
     rows_of = BatchNorm1D._inference_rows
@@ -532,7 +653,7 @@ def test_posterior_tiles_batch_norm_rows_once_per_length(monkeypatch):
     metrics.predictive_posterior(net, x, m=10)
     bns = [i for i, layer in enumerate(net.layers)
            if isinstance(layer, BatchNorm1D)]
-    assert len(bns) == 2 and [counts[i] for i in bns] == [10, 10]
+    assert len(bns) == 2 and [counts[i] for i in bns] == [2, 2]
     assert len(tiled) == 2 and set(tiled.values()) == {1}
 
 
