@@ -599,6 +599,10 @@ def load_network(path) -> tuple[Network, dict[str, str]]:
     config = ModelConfig.from_kv_line(config_line)
     net = build_network(config, int(meta["channels"]),
                         int(meta["window_length"]), seed=0)
+    unknown = set(values) - {p.name for p in net.params()}
+    if unknown:
+        raise ckpt.CheckpointError(
+            f"parameters the config does not build: {sorted(unknown)}")
     for p in net.params():
         if p.name not in values:
             raise ckpt.CheckpointError(f"missing parameter {p.name}")

@@ -27,22 +27,6 @@ RUN_CONFIG_NAME = "run_config.txt"
 
 _PATH_KEYS = ("manifest", "data", "config", "checkpoint", "reports")
 
-_COMMAND_KEYS = {
-    "generate": ("n_logs", "seed", "duration_s", "class_balance", "out"),
-    "prepare": ("manifest", "window", "subsample", "target_length",
-                "channels", "test_fraction", "val_fraction",
-                "speed_threshold", "min_gap", "seed", "out"),
-    "train": ("data", "config", "epochs", "seed", "float32", "out"),
-    "search": ("data", "family", "uq", "iterations", "min_budget",
-               "max_budget", "eta", "random_fraction", "workers", "seed",
-               "float32", "out"),
-    "evaluate": ("checkpoint", "data", "split", "samples", "bins", "seed",
-                 "out"),
-    "select": ("reports", "out"),
-    "report": ("reports", "out"),
-}
-
-
 class CheckpointMismatch(Exception):
     pass
 
@@ -549,6 +533,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     return p
 
+
+def _command_keys() -> dict[str, tuple[str, ...]]:
+    """Every command's option dests in parser order, the keys of its
+    run config; rerun, which writes no run config, has none."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: tuple(a.dest for a in parser._actions if a.dest != "help")
+            for name, parser in sub.choices.items() if name != "rerun"}
+
+
+_COMMAND_KEYS = _command_keys()
 
 _CLI_ERRORS = (data.DataError, arch.InvalidConfig, arch.ShapeCollapse,
                hpo.InvalidBudgets, hpo.InsufficientData,

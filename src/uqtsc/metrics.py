@@ -8,9 +8,10 @@ cut into tiles, and tile t draws from the t-th child of its chunk's
 stream.  A tile of q passes runs them as one forward of q stacked copies
 of the chunk, so every forward holds about one chunk's rows: a call of
 at least a chunk of windows has one-pass tiles, and a one-window call
-with M = 10 two tiles of 5.  The chunks, and inside each chunk its
-tiles, are dealt round-robin to one lane per usable core, so a call of
-fewer than CHUNK windows also runs on every usable core.  OpenBLAS is
+with M = 10 two tiles of 5.  Every stochastic layer draws a tile's noise
+in one call (see `uq`).  The chunks, and inside each chunk its tiles,
+are dealt round-robin to one lane per usable core, so a call of fewer
+than CHUNK windows also runs on every usable core.  OpenBLAS is
 held to one thread, so every product runs in its lane's thread and the
 bytes do not depend on the lane count.  The layers before a network's
 first stochastic one are deterministic in mc_infer mode, so they run
@@ -37,9 +38,6 @@ F1_THRESHOLD = 0.9
 ENTROPY_THRESHOLD = 0.1
 DEFAULT_M = 10
 DEFAULT_BINS = 10
-# windows per infer-mode forward call in training.evaluate, which keeps
-# the conv window-view buffer small on wide configs
-EVAL_BATCH = 64
 # windows per posterior chunk of a network without an LSTM, which holds
 # its prefix output for all passes: the posterior benchmark CNN's conv1
 # output is 10.7x its input, and two lanes of 8 windows keep that under
@@ -107,8 +105,9 @@ def predictive_posterior(net: Network, x: np.ndarray, m: int = DEFAULT_M,
     `net.forward(..., start=first, passes=p)` on p copies of the chunk's
     output, stacked pass after pass, gives the samples of its p passes in
     order.  Dropout masks the stacked tensor with one mask; DropConnect
-    and Flipout draw one weight sample per pass, in pass order (see
-    `uq`).
+    and Flipout draw one weight sample per pass, each kind of noise in
+    one draw for the tile, and run every pass against its own sample in
+    one batched product (see `uq`).
 
     The whole call holds OpenBLAS to one thread (`blas.one_thread`).
     The chunks are dealt round-robin to one lane per usable core, at

@@ -148,24 +148,22 @@ class Dense(Layer):
     def params(self):
         return [self.w, self.b]
 
-    def _weight(self, mode, rng):
-        """Effective weight for this pass; UQ subclasses mask it."""
-        return self.w.value
-
     def _backprop_weight(self, dw_eff):
         self.w.grad += dw_eff
 
     def forward(self, x, mode="train", rng=None):
-        return self._forward(x, mode, lambda: self._weight(mode, rng))
+        return self._forward(x, mode, self.w.value)
 
-    def _forward(self, x, mode, weight):
-        """forward with this pass's effective weight taken from weight()."""
+    def _forward(self, x, mode, w):
+        """forward with this pass's effective weight w [in, out]; a stack
+        of q weights [q, in, out] takes x as q row blocks, each against
+        its own weight, in one batched product."""
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ShapeMismatch(
                 f"{self.name}: expected [batch, {self.n_in}], got {x.shape}")
-        w = weight()
         self._x, self._w_used = (x, w) if mode == "train" else (None, None)
-        return x @ w + self.b.value
+        y = np.matmul(x.reshape(w.shape[:-2] + (-1, self.n_in)), w)
+        return y.reshape(len(x), self.n_out) + self.b.value
 
     def backward(self, dy):
         self._backprop_weight(self._x.T @ dy)
@@ -230,17 +228,16 @@ class Conv1D(Layer):
     def params(self):
         return [self.w, self.b]
 
-    def _weight(self, mode, rng):
-        return self.w.value
-
     def _backprop_weight(self, dw_eff):
         self.w.grad += dw_eff
 
     def forward(self, x, mode="train", rng=None):
-        return self._forward(x, mode, lambda: self._weight(mode, rng))
+        return self._forward(x, mode, self.w.value)
 
-    def _forward(self, x, mode, weight):
-        """forward with this pass's effective weight taken from weight()."""
+    def _forward(self, x, mode, w):
+        """forward with this pass's effective weight w [F, C, k]; a stack
+        of q weights [q, F, C, k] takes x as q row blocks, each against
+        its own weight, in one batched GEMM."""
         if x.ndim != 3 or x.shape[2] != self.n_in:
             raise ShapeMismatch(
                 f"{self.name}: expected [batch, len, {self.n_in}], got {x.shape}")
@@ -248,10 +245,10 @@ class Conv1D(Layer):
         col = _im2col(pad_same(x, k), k)
 
         def relayout():
-            # [F, C, k] -> [k*C, F], rows in im2col column order; the cast
-            # keeps the GEMM and its output in the input precision
-            return weight().astype(x.dtype, copy=False) \
-                .transpose(2, 1, 0).reshape(k * self.n_in, self.filters)
+            # [.., F, C, k] -> [.., k*C, F], rows in im2col column order;
+            # the cast keeps the GEMM and its output in the input precision
+            return w.astype(x.dtype, copy=False).swapaxes(-1, -3).reshape(
+                w.shape[:-3] + (k * self.n_in, self.filters))
 
         wmat = relayout() if self.stochastic else self._constant(
             mode, x.dtype, relayout)
@@ -259,7 +256,8 @@ class Conv1D(Layer):
             self._col, self._wmat = col, wmat
         else:
             self._col = self._wmat = None
-        y = np.dot(col, wmat).reshape(len(x), -1, self.filters)
+        y = np.matmul(col.reshape(wmat.shape[:-2] + (-1, col.shape[1])), wmat)
+        y = y.reshape(len(x), -1, self.filters)
         y += self.b.value
         return y
 

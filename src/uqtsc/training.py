@@ -43,6 +43,9 @@ _STREAM_TAG = 0x7E41
 # ran the benchmark's trials faster than four or than chunks of at most 8
 # or 16 windows, whose odd counts leave one lane idle (see CHANGES.md)
 CHUNKS = 2
+# windows per infer-mode forward call in evaluate, which keeps the conv
+# window-view buffer small on wide configs
+EVAL_BATCH = 64
 
 
 class EmptyTrainingSet(Exception):
@@ -80,7 +83,7 @@ def evaluate(net: Network, x: np.ndarray,
     the lane count."""
     if len(x) == 0:
         raise EmptyTrainingSet("cannot evaluate on an empty set")
-    step = metrics.EVAL_BATCH
+    step = EVAL_BATCH
     starts = range(0, len(x), step)
     losses, preds = [0.0] * len(starts), [None] * len(starts)
 

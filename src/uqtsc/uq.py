@@ -8,11 +8,13 @@ t = round((1-p)·2^16) is the keep threshold of a 16-bit random lane —
 which makes every masked pass an unbiased estimate of the deterministic
 one.  2^16/t is 1/(1-p) up to the quantization of p to 1/65536.
 
-An mc_infer input may stack several passes' rows, pass after pass
-(`passes`, handed on by `arch.Network.forward`).  Dropout masks the
-stacked tensor with one mask; DropConnect and Flipout, whose noise is on
-the weight, draw one weight sample per pass, in pass order, so each pass
-is the bytes of a forward of its rows alone.
+An mc_infer input may stack several passes' rows, pass after pass, and
+`passes` (handed on by `arch.Network.forward`) is the number of row
+blocks a stochastic layer draws for in one call.  Dropout masks the
+stacked tensor with one mask.  DropConnect and Flipout, whose noise is on
+the weight, give each block its own weight sample in one batched
+product: DropConnect's masks are the bytes of one draw per block in
+turn, and Flipout draws each kind of noise once per call.
 """
 
 from __future__ import annotations
@@ -44,14 +46,6 @@ def _check_rate(p: float):
         raise InvalidRate(f"dropout rate must lie in [0, 1 - 2**-17), got {p}")
 
 
-def _per_pass(forward, x, passes: int) -> np.ndarray:
-    """forward(x), or with x stacking `passes` passes of equal rows,
-    forward of each pass's rows in pass order, the outputs stacked again."""
-    if passes == 1:
-        return forward(x)
-    return np.concatenate([forward(rows) for rows in np.split(x, passes)])
-
-
 class _Bernoulli:
     """The one inverted-scaling Bernoulli mask behind dropout and DropConnect.
 
@@ -59,29 +53,37 @@ class _Bernoulli:
     the tensor passes through.  Each element takes one 16-bit lane of the
     64-bit words of one `rng.integers` draw (full words on any bit
     generator), is kept where its lane is below t = round((1-p)·2^16) and
-    is scaled by 2^16/t.  A p of at most 2^-17 rounds to t = 2^16 and
-    keeps every element.  The scale takes the tensor's dtype, so a
-    float32 pass stays float32.  A train pass keeps its bool mask and
-    scale for backward; an mc_infer pass writes the product into a scaled
-    mask.  Stochastic even at p = 0, as the layer kind, not the rate,
-    decides it.
+    is scaled by 2^16/t; a stack of q masks takes q masks' words from
+    that one draw.  A p of at most 2^-17 rounds to t = 2^16 and keeps
+    every element.  The scale takes the tensor's dtype, so a float32
+    pass stays float32.  A train pass keeps its bool mask and scale for
+    backward; an mc_infer pass writes the product into a scaled mask.
+    Stochastic even at p = 0, as the layer kind, not the rate, decides
+    it.
     """
 
     stochastic = True
 
-    def _draw(self, shape, rng) -> np.ndarray:
-        """One bool keep mask of the given shape, drawn from rng."""
+    def _draw(self, shape, rng, passes=1) -> np.ndarray:
+        """One bool keep mask of the given shape drawn from rng, or for
+        passes > 1 a [passes, *shape] stack of masks, the bytes of passes
+        one-mask draws in turn."""
         if rng is None:
             raise ValueError(f"{self.name}: active mode needs an rng")
         size = math.prod(shape)
-        words = rng.integers(0, 1 << 64, size=-(-size // 4), dtype=np.uint64)
-        return words.view(np.uint16)[:size].reshape(shape) \
+        words = -(-size // 4)
+        lanes = rng.integers(0, 1 << 64, size=passes * words,
+                             dtype=np.uint64).view(np.uint16)
+        kept = lanes.reshape(passes, 4 * words)[:, :size] \
             < _keep_threshold(self.p)
+        return kept.reshape(shape if passes == 1 else (passes, *shape))
 
-    def _masked(self, v, mode, rng):
+    def _masked(self, v, mode, rng, passes=1):
+        """v masked in an active mode with p > 0, else v itself; for
+        passes > 1, a stack of v under each of that many masks."""
         self._kept = None
         if mode in _ACTIVE_MODES and self.p > 0.0:
-            return self._masked_by(self._draw(v.shape, rng), v, mode)
+            return self._masked_by(self._draw(v.shape, rng, passes), v, mode)
         return v
 
     def _masked_by(self, kept, v, mode):
@@ -124,12 +126,11 @@ class MCDropout(_Bernoulli, Layer):
 class _DropConnect(_Bernoulli):
     """Bernoulli mask on a wrapped layer's weight (never its bias).
 
-    Adopts the base layer's attributes and Param objects, then overrides
-    the `_weight`/`_backprop_weight` hooks that Dense and Conv1D route
-    their weight through.  A train pass run in chunks (`forward_steps`)
-    masks every chunk's weight with one mask, drawn once per batch from
-    the stream the chunks share and passed to the base layer's
-    `_forward` as that pass's weight.
+    Adopts the base layer's attributes and Param objects, hands its
+    `_forward` the masked weight (a stack of them for stacked passes) and
+    overrides the `_backprop_weight` hook.  A train pass run in chunks
+    (`forward_steps`) masks every chunk's weight with one mask, drawn
+    once per batch from the stream the chunks share.
     """
 
     def __init__(self, base, p: float):
@@ -139,21 +140,18 @@ class _DropConnect(_Bernoulli):
         self._kept = None
 
     def forward(self, x, mode="train", rng=None, passes=1):
-        forward = super().forward
-        return _per_pass(lambda rows: forward(rows, mode, rng), x, passes)
+        return self._forward(x, mode,
+                             self._masked(self.w.value, mode, rng, passes))
 
     def forward_steps(self, x, rng=None):
         kept = yield self._draw_shared, None
         if kept is None:  # p = 0 masks nothing
             return self.forward(x, mode="train", rng=rng)
-        return self._forward(
-            x, "train", lambda: self._masked_by(kept, self.w.value, "train"))
+        return self._forward(x, "train",
+                             self._masked_by(kept, self.w.value, "train"))
 
     def _draw_shared(self, parts, rng):
         return self._draw(self.w.value.shape, rng) if self.p > 0.0 else None
-
-    def _weight(self, mode, rng):
-        return self._masked(self.w.value, mode, rng)
 
     def _backprop_weight(self, dw_eff):
         self.w.grad += self._apply_mask(dw_eff)
@@ -188,9 +186,12 @@ class FlipoutDense(Layer):
 
         y = x mu_W + ((x * r) @ dW) * s + mu_b + sigma_b * e_b
 
-    In "infer" mode only the posterior means are used.  The noise is
-    drawn in float64 and cast to the input dtype.  While held, passes
-    outside train hold sigma = softplus(rho) of the weight and the bias.
+    An input stacking q passes draws r and s over all its rows, then E
+    as [q, in, out], then e_b as [q, out], and runs each pass's row block
+    with its own dW and e_b.  In "infer" mode only the posterior means
+    are used.  The noise is drawn in float64 and cast to the input dtype.
+    While held, passes outside train hold sigma = softplus(rho) of the
+    weight and the bias.
     """
 
     stochastic = True
@@ -217,25 +218,21 @@ class FlipoutDense(Layer):
             return x @ self.mu_w.value + self.mu_b.value
         if rng is None:
             raise ValueError(f"{self.name}: active mode needs an rng")
-        return _per_pass(lambda rows: self._sampled(rows, mode, rng), x,
-                         passes)
-
-    def _sampled(self, x, mode, rng):
-        """One active pass: its noise drawn from rng, then applied."""
-        batch = x.shape[0]
+        xs = x.reshape(passes, -1, self.n_in)  # one row block per pass
         r, s, e_w, e_b = (a.astype(x.dtype, copy=False) for a in (
-            _SIGNS[rng.integers(0, 2, size=(batch, self.n_in))],
-            _SIGNS[rng.integers(0, 2, size=(batch, self.n_out))],
-            rng.normal(size=(self.n_in, self.n_out)),
-            rng.normal(size=self.n_out)))
+            _SIGNS[rng.integers(0, 2, size=xs.shape)],
+            _SIGNS[rng.integers(0, 2, size=xs.shape[:2] + (self.n_out,))],
+            rng.normal(size=(passes, self.n_in, self.n_out)),
+            rng.normal(size=(passes, 1, self.n_out))))
         sig_w, sig_b = self._constant(mode, "sigma", lambda: (
             softplus(self.rho_w.value), softplus(self.rho_b.value)))
         dw = sig_w * e_w
-        xr = x * r
-        y = x @ self.mu_w.value + (xr @ dw) * s \
+        xr = xs * r
+        y = xs @ self.mu_w.value + (xr @ dw) * s \
             + self.mu_b.value + sig_b * e_b
-        self._cache = (x, r, s, e_w, e_b, xr, dw) if mode == "train" else None
-        return y
+        self._cache = ((x, *(a[0] for a in (r, s, e_w, e_b[:, 0], xr, dw)))
+                       if mode == "train" else None)
+        return y.reshape(len(x), self.n_out)
 
     def backward(self, dy):
         x, r, s, e_w, e_b, xr, dw = self._cache

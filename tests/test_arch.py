@@ -1,5 +1,6 @@
 """Builders, shape propagation, UQ placement, config serialization."""
 
+import dataclasses
 import weakref
 from pathlib import Path
 
@@ -8,8 +9,8 @@ import pytest
 
 from conftest import leaf_layers, load_file, perturbed_net
 from uqtsc import arch, cli, uq
-from uqtsc.nncore import (LSTM, BatchNorm1D, Conv1D, Dense, GlobalAvgPool1D,
-                          Layer, MaxPool1D, ReLU)
+from uqtsc.nncore import (LSTM, BatchNorm1D, CheckpointError, Conv1D, Dense,
+                          GlobalAvgPool1D, Layer, MaxPool1D, ReLU)
 
 
 def _forward_shapes(net, x):
@@ -852,6 +853,29 @@ def test_checkpoint_roundtrip_forward_equal(tmp_path, family, method):
     np.testing.assert_array_equal(loaded.forward(x, mode="infer"), expect)
     assert loaded.config.to_kv_line() == net.config.to_kv_line()
     assert loaded.config == net.config
+
+
+def test_checkpoint_with_parameters_the_config_does_not_build(tmp_path):
+    """A 2-block CNN checkpoint whose config line was edited to one block
+    does not load as a 1-block network: the error names the parameters
+    that only the second block had."""
+    cfg = arch.ModelConfig(family="cnn", cnn_blocks=2, f1=16, f2=16, k1=5,
+                           k2=5)
+    net = arch.build_network(cfg, 6, 64, seed=3)
+    path = tmp_path / "net.ckpt"
+    arch.save_network(net, path)
+    one_block = dataclasses.replace(cfg, cnn_blocks=1).to_kv_line()
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = f"config {one_block}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    built = {p.name for p in arch.build_network(
+        dataclasses.replace(cfg, cnn_blocks=1), 6, 64, seed=3).params()}
+    extra = sorted({name for name, _ in net.named_params()} - built)
+    assert extra
+    with pytest.raises(CheckpointError) as err:
+        arch.load_network(path)
+    for name in extra:
+        assert repr(name) in str(err.value)
 
 
 # ---------------------------------------------------------------------------

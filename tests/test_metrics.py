@@ -1,5 +1,6 @@
 """Posterior, entropy, ECE, F1, and the selection gate against oracles."""
 
+import hashlib
 import sys
 import threading
 import tracemalloc
@@ -297,23 +298,46 @@ def _stacked_layer(kind):
     return uq.FlipoutDense(Dense(6, 5, rng)), (4, 6)
 
 
+def _replayed_flipout(layer, h, passes, rng):
+    """Every row block of a Flipout tile of `passes` stacked copies of h,
+    in closed form from the tile's draws replayed from rng: the signs r
+    and s over all stacked rows, then every block's weight noise, then
+    every block's bias noise."""
+    rows, n_in, n_out = passes * len(h), layer.n_in, layer.n_out
+    r = np.split(2.0 * rng.integers(0, 2, size=(rows, n_in)) - 1, passes)
+    s = np.split(2.0 * rng.integers(0, 2, size=(rows, n_out)) - 1, passes)
+    e_w = rng.normal(size=(passes, n_in, n_out))
+    e_b = rng.normal(size=(passes, n_out))
+    sig_w = np.log1p(np.exp(layer.rho_w.value))
+    sig_b = np.log1p(np.exp(layer.rho_b.value))
+    return [h @ layer.mu_w.value + ((h * r[i]) @ (sig_w * e_w[i])) * s[i]
+            + layer.mu_b.value + sig_b * e_b[i] for i in range(passes)]
+
+
 @pytest.mark.parametrize("passes", (2, 5))
 @pytest.mark.parametrize("kind", ("dropconnect_conv", "dropconnect_dense",
                                   "flipout"))
 def test_stacked_weight_noise_tile_equals_single_passes(kind, passes):
-    """A weight-noise layer on `passes` stacked copies of its rows gives,
-    block by block, the bytes of that many single-pass forwards that draw
-    in order from one generator, and leaves that generator where they
-    leave it."""
+    """A weight-noise layer on `passes` stacked copies of its rows gives
+    each block its own weight sample, and leaves its generator where the
+    reference leaves it.  DropConnect's blocks are, byte for byte, that
+    many single-pass forwards that draw in order from one generator.
+    Flipout draws each kind of noise once for the tile, so its blocks
+    are the closed form of the tile's replayed draws."""
     layer, shape = _stacked_layer(kind)
     h = np.random.default_rng(53).normal(size=shape)
     rng_a, rng_b = np.random.default_rng(54), np.random.default_rng(54)
     stacked = layer.forward(np.concatenate([h] * passes), mode="mc_infer",
                             rng=rng_a, passes=passes)
     blocks = np.split(stacked, passes)
-    for block in blocks:
-        single = layer.forward(h, mode="mc_infer", rng=rng_b)
-        assert block.tobytes() == single.tobytes()
+    if kind == "flipout":
+        for block, ref in zip(blocks,
+                              _replayed_flipout(layer, h, passes, rng_b)):
+            np.testing.assert_allclose(block, ref, rtol=1e-12, atol=1e-14)
+    else:
+        for block in blocks:
+            single = layer.forward(h, mode="mc_infer", rng=rng_b)
+            assert block.tobytes() == single.tobytes()
     assert len({block.tobytes() for block in blocks}) == passes
     _next_draws_agree(rng_a, rng_b)
 
@@ -544,41 +568,42 @@ def test_posterior_holds_nothing_after_return_or_raise(family, method,
 
 
 def test_posterior_dropconnect_conv_redraws_weight_every_pass(monkeypatch):
-    """One window, M = 10: each DropConnect conv masks its weight on all
-    10 passes and holds nothing, so the 10 samples differ."""
+    """One window, M = 10, in two tiles of 5 stacked passes: each
+    DropConnect conv draws a weight mask for all 10 passes, one draw per
+    tile, and holds nothing, so the 10 samples differ."""
     net = _family_net("cnn", "dropconnect")
     draws, held = Counter(), []
-    masked = uq._Bernoulli._masked
+    draw = uq._Bernoulli._draw
 
-    def counted(self, v, mode, rng):
-        draws[self.name] += 1
+    def counted(self, shape, rng, passes=1):
+        draws[self.name] += passes
         held.append(self._held)
-        return masked(self, v, mode, rng)
+        return draw(self, shape, rng, passes)
 
-    monkeypatch.setattr(uq._Bernoulli, "_masked", counted)
+    monkeypatch.setattr(uq._Bernoulli, "_draw", counted)
     x = np.random.default_rng(34).normal(size=(1, 6, 32))
     dist = metrics.predictive_posterior(net, x, m=10)
     convs = [layer.name for layer in net.layers
              if isinstance(layer, uq.DropConnectConv1D)]
     assert len(convs) == 2 and {draws[name] for name in convs} == {10}
-    assert held == [{}] * 20
+    assert held == [{}] * 4
     assert len({row.tobytes() for row in dist.samples[:, 0]}) == 10
 
 
 @pytest.mark.parametrize("family", ("cnn", "cnn_lstm"))
 def test_posterior_flipout_redraws_weight_every_pass(family, monkeypatch):
     """One window, M = 10, in one tile of 10 stacked passes or two of 5:
-    the Flipout head draws its weight noise on all 10 passes, so the 10
+    the Flipout head draws its weight noise for all 10 passes, so the 10
     samples are pairwise distinct."""
     net = _family_net(family, "flipout")
     draws = Counter()
-    sampled = uq.FlipoutDense._sampled
+    forward = uq.FlipoutDense.forward
 
-    def counted(self, x, mode, rng):
-        draws[self.name] += 1
-        return sampled(self, x, mode, rng)
+    def counted(self, x, mode="train", rng=None, passes=1):
+        draws[self.name] += passes
+        return forward(self, x, mode, rng, passes)
 
-    monkeypatch.setattr(uq.FlipoutDense, "_sampled", counted)
+    monkeypatch.setattr(uq.FlipoutDense, "forward", counted)
     x = np.random.default_rng(34).normal(size=(1, 6, 32))
     dist = metrics.predictive_posterior(net, x, m=10)
     assert list(draws.values()) == [10]
@@ -655,6 +680,62 @@ def test_posterior_tiles_batch_norm_rows_once_per_length(monkeypatch):
            if isinstance(layer, BatchNorm1D)]
     assert len(bns) == 2 and [counts[i] for i in bns] == [2, 2]
     assert len(tiled) == 2 and set(tiled.values()) == {1}
+
+
+# SHA-256 of the samples of one M = 10 posterior call (see
+# _pinned_posterior); a change to how the stochastic layers draw or apply
+# their noise shows here as the cases whose bytes it moves
+PINNED_POSTERIOR = {
+    ("cnn", "mc_dropout", "float64", 1):
+        "cda2cf48a44200ddf4d2d6ee28a8f3ddebca9d4587b31dd70bc5b5556d779c36",
+    ("cnn", "mc_dropout", "float64", 40):
+        "f58e1feee01169fbc2f593286a8585dfd815580f1343c8cac44f5d9731b52b27",
+    ("cnn", "mc_dropout", "float32", 1):
+        "cf3aed7ea3d2d5764f43c855dfc9cdf09f9284af983027e68a1d425c2aa0948a",
+    ("cnn", "mc_dropout", "float32", 40):
+        "73bff75e903eacd179f9fba0c0c80bf12efff868846686c89b091a8f06c1a09e",
+    ("cnn", "dropconnect", "float64", 1):
+        "a4486f39c0cd5295b4efe3b7c9064b1ac82a9dd5e180634283b17067d1be2906",
+    ("cnn", "dropconnect", "float64", 40):
+        "3c20e408cc1dabb82af35c0b1254ee636f81c4069136268194ced937a301cbd1",
+    ("cnn", "dropconnect", "float32", 1):
+        "e2ab26caf48b8e71803317d68b66ecadb18160fef55119fe3aac030bc29e6d67",
+    ("cnn", "dropconnect", "float32", 40):
+        "0c5d3b981d92a78dd02c2428fc9638050967e09ccd17e67a4a68410ecf8ea711",
+    ("cnn", "flipout", "float64", 1):
+        "d04f63ccf1dbf3be319ba622ad7f9844a01ed460638e657b394744fd756d82e8",
+    ("cnn", "flipout", "float64", 40):
+        "23eb254dcb0a3d51206c6684c5eaef7138e02e2097454cc4781bdada2f6b9f6d",
+    ("cnn", "flipout", "float32", 1):
+        "d118a610b5b83ece55f01daf3f5e32f1aa63f48bb42c1bc3bc016efb1efe784a",
+    ("cnn", "flipout", "float32", 40):
+        "ac0c58b3d85b90576512de4d6b43f425610b7a08a94ab6f8a1cdc5c9984ddbf0",
+    ("cnn_lstm", "flipout", "float64", 1):
+        "b1d1751053d1448c0d0bc4464cc7f7bda8cee4ad13aa712a12f5dc8856a8a084",
+    ("cnn_lstm", "flipout", "float64", 40):
+        "e1fbfa3e2a4eb1e59d3b12622a86c6e81eadeb2cba3709cee12ec0dde46ba5fd",
+    ("cnn_lstm", "flipout", "float32", 1):
+        "f75042181f89310f1b5ee0ed5f24bb99caecd81439d82f08304183317b032ec8",
+    ("cnn_lstm", "flipout", "float32", 40):
+        "91f5a06231efdab6ff192be9175058ab98da4e52a63d374579ab10f3313d16e7",
+}
+
+
+def _pinned_posterior(family, method, dtype, n):
+    net = _family_net(family, method, np.dtype(dtype).type)
+    x = np.random.default_rng(60 + n).normal(size=(n, 6, 32))
+    dist = metrics.predictive_posterior(net, x, m=10,
+                                        rng=np.random.default_rng(61))
+    return hashlib.sha256(dist.samples.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", PINNED_POSTERIOR,
+                         ids=lambda case: "-".join(map(str, case)))
+def test_posterior_sample_bytes_pinned(case):
+    """For every UQ method in both precisions: one window, in two tiles of
+    5 stacked passes, and 40 windows, in one-pass tiles over five chunks
+    of 8 (with an LSTM, a chunk of 32 and a short one of 8)."""
+    assert _pinned_posterior(*case) == PINNED_POSTERIOR[case]
 
 
 def test_posterior_rejects_unnormalized():
